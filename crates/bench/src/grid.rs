@@ -142,17 +142,17 @@ impl CellResult {
 
     /// DP solves that actually ran inside MadPipe's probe session.
     pub fn dp_solves(&self) -> usize {
-        self.stats.dp.solves
+        self.stats.dp().solves
     }
 
     /// Probes answered without a solve (outcome cache + monotone bound).
     pub fn dp_probes_saved(&self) -> usize {
-        self.stats.dp.probes_saved()
+        self.stats.dp().probes_saved()
     }
 
     /// Memoized DP states created across this cell's solves.
     pub fn dp_states(&self) -> u64 {
-        self.stats.dp.states_created
+        self.stats.dp().states_created
     }
 
     /// Speedup of MadPipe over sequential execution.
@@ -231,15 +231,18 @@ pub fn run_cell(chain: &Chain, cell: &Cell, planner: &PlannerConfig) -> CellResu
 /// Planner stats with just the DP counters set, for figure-module tests.
 #[cfg(test)]
 pub(crate) fn test_stats(solves: usize, probes_saved: usize, states: u64) -> PlannerStats {
-    PlannerStats {
-        dp: madpipe_core::DpStats {
-            solves,
-            outcome_hits: probes_saved,
-            states_created: states,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
+    use madpipe_core::stats::counters;
+    let mut stats = PlannerStats::default();
+    stats
+        .metrics
+        .bump_counter(counters::DP_SOLVES, solves as u64);
+    stats
+        .metrics
+        .bump_counter(counters::DP_OUTCOME_HITS, probes_saved as u64);
+    stats
+        .metrics
+        .bump_counter(counters::DP_STATES_CREATED, states);
+    stats
 }
 
 /// Geometric mean helper (ignores `None`s; `None` when nothing remains).
@@ -318,8 +321,8 @@ mod tests {
         assert!(r.ratio().unwrap() > 0.5);
         assert!(r.dp_solves() > 0);
         assert!(r.dp_states() > 0);
-        assert_eq!(r.stats.certifications_passed, 1);
-        assert!(r.stats.certify_seconds > 0.0);
+        assert_eq!(r.stats.certifications_passed(), 1);
+        assert!(r.stats.certify_seconds() > 0.0);
         assert!(r.madpipe.unwrap() + 1e-12 >= r.sequential / 2.0 * 0.99);
         assert_eq!(r.certified, Some(true), "grid plans must certify");
         assert!(r.jitter_margin.unwrap() > 0.0);

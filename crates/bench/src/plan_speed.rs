@@ -134,7 +134,7 @@ pub fn run_plan_speed(
                 let wall = Instant::now();
                 let (plan, stats) = madpipe_plan_with_stats(chain, &platform, planner);
                 let total = wall.elapsed().as_secs_f64();
-                let dp = stats.phase1_seconds + stats.fallback_seconds + stats.refine_seconds;
+                let dp = stats.phase1_seconds() + stats.fallback_seconds() + stats.refine_seconds();
                 let these = plan.ok().map(|p| p.period().to_bits());
                 match &bits {
                     None => bits = Some(these),

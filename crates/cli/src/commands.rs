@@ -280,19 +280,10 @@ fn load_chain(args: &Args) -> Result<Chain, String> {
     })
 }
 
-/// Enable the span tracer when any command-line flag wants a trace file,
-/// so the subsequent planning/certification calls record their spans.
-fn arm_tracer(args: &Args) -> bool {
-    let wanted = args.raw("trace-out").is_some();
-    if wanted {
-        madpipe_obs::set_enabled(true);
-    }
-    wanted
-}
-
-/// Write the collected planner spans — plus, when a plan exists, the
-/// schedule timeline with its memory/link counter tracks — as one
-/// Chrome/Perfetto trace. Disables the tracer.
+/// Write the spans recorded so far — drained from the flight ring and
+/// rebased so the earliest starts at 0 — plus, when a plan exists, the
+/// schedule timeline with its memory/link counter tracks, as one
+/// Chrome/Perfetto trace.
 fn write_trace(
     out: &str,
     chain: &Chain,
@@ -300,8 +291,8 @@ fn write_trace(
     plan: Option<&madpipe_core::MadPipePlan>,
     periods: usize,
 ) -> Result<(), String> {
-    // Build the schedule timeline first, while the tracer is still on,
-    // so the replay behind it contributes its `sim.replay` span.
+    // Build the schedule timeline before draining, so the replay behind
+    // it contributes its `sim.replay` span.
     let schedule = plan.map(|plan| {
         madpipe_sim::schedule_trace_with(
             chain,
@@ -312,11 +303,15 @@ fn write_trace(
             periods,
         )
     });
-    madpipe_obs::set_enabled(false);
-    let spans = madpipe_obs::drain_spans();
+    let spans = madpipe_obs::flight::drain();
+    let t0 = spans.iter().map(|e| e.ts_us).fold(f64::INFINITY, f64::min);
     let mut trace = Trace::new();
     trace.process_name(PLANNER_PID, "planner");
-    trace.add_spans(PLANNER_PID, &spans);
+    trace.events.extend(spans.iter().map(|e| {
+        let mut event = e.to_trace_event(PLANNER_PID);
+        event.ts_us -= t0;
+        event
+    }));
     if let Some(schedule) = schedule {
         trace.extend(schedule);
     }
@@ -413,7 +408,6 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
         platform.bandwidth / (1u64 << 30) as f64,
     );
     let planner = planner_config(args)?;
-    arm_tracer(args);
     let cmp = compare(&chain, &platform, &planner);
     match &cmp.madpipe {
         Ok(plan) => {
@@ -459,14 +453,15 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
         println!("planner   : {}", stats.summary());
         println!(
             "  phases  : phase1 {:.3}s, fallback {:.3}s, refine {:.3}s, schedule {:.3}s",
-            stats.phase1_seconds,
-            stats.fallback_seconds,
-            stats.refine_seconds,
-            stats.schedule_seconds
+            stats.phase1_seconds(),
+            stats.fallback_seconds(),
+            stats.refine_seconds(),
+            stats.schedule_seconds()
         );
+        let dp = stats.dp();
         println!(
             "  dp      : memo hits {}, load prunes {}, memory prunes {}",
-            stats.dp.memo_hits, stats.dp.load_prunes, stats.dp.memory_prunes
+            dp.memo_hits, dp.load_prunes, dp.memory_prunes
         );
         println!(
             "  {:<12} {:>12} {:>8} {:>12} {:>8} {:>10}",
@@ -679,7 +674,6 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
     let chain = load_chain(args)?;
     let platform = load_platform(args)?;
     let planner = planner_config(args)?;
-    arm_tracer(args);
     let (plan, mut stats) = madpipe_plan_with_stats(&chain, &platform, &planner);
     let plan = plan.map_err(|e| format!("planning failed: {e}"))?;
 

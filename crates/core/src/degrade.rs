@@ -268,9 +268,9 @@ mod tests {
         let warm = replan_with_session(&mut session, fault, &cfg).unwrap();
 
         assert!(
-            warm.degraded_stats.dp.states_seeded > 0,
+            warm.degraded_stats.dp().states_seeded > 0,
             "surviving slab states must seed the degraded solves: {:?}",
-            warm.degraded_stats.dp
+            warm.degraded_stats.dp()
         );
         assert!(
             warm.bridge.is_some(),

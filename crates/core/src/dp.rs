@@ -829,12 +829,14 @@ impl<'a> ProbeSession<'a> {
         }
         let cursor = AtomicUsize::new(0);
         let mut slots: Vec<Option<(Shard, f64)>> = (0..pending.len()).map(|_| None).collect();
+        let trace = madpipe_obs::current();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for _ in 0..threads {
                 let cursor = &cursor;
                 let session = &*self;
                 handles.push(scope.spawn(move || {
+                    let _trace = madpipe_obs::enter(trace);
                     let mut local: Vec<(usize, Shard, f64)> = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -863,10 +865,8 @@ impl<'a> ProbeSession<'a> {
     /// One full DP solve at `t_hat`. Pure: reads only the shared session
     /// state, so independent solves can run concurrently.
     fn run_solve(&self, t_hat: f64, use_special: bool) -> Shard {
-        let mut sp = madpipe_obs::span("dp.solve");
-        if let Some(sp) = sp.as_mut() {
-            sp.arg("t_hat", t_hat);
-        }
+        let mut span = madpipe_obs::span("dp.solve");
+        span.arg("t_hat", t_hat);
         let p_normal = if use_special {
             self.platform.n_gpus - 1
         } else {

@@ -14,6 +14,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use madpipe_model::{Allocation, Chain, Platform, PolicySpec, StagePolicy};
+use madpipe_obs::Registry;
 use madpipe_schedule::ScheduleError;
 use madpipe_solver::{best_period_with, PlaceConfig, SolvedSchedule};
 
@@ -201,6 +202,7 @@ fn schedule_batch(
     threads: usize,
 ) -> Vec<Result<SolvedSchedule, ScheduleError>> {
     let solve_one = |(alloc, policies): &(Allocation, Vec<StagePolicy>)| -> Result<SolvedSchedule, ScheduleError> {
+        let _span = madpipe_obs::span("plan.phase2.candidate");
         if alloc.is_contiguous() {
             madpipe_schedule::best_contiguous_period_with(chain, platform, alloc, policies).map(
                 |b| SolvedSchedule {
@@ -221,12 +223,14 @@ fn schedule_batch(
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<Result<SolvedSchedule, ScheduleError>>> =
         (0..candidates.len()).map(|_| None).collect();
+    let trace = madpipe_obs::current();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let cursor = &cursor;
             let solve_one = &solve_one;
             handles.push(scope.spawn(move || {
+                let _trace = madpipe_obs::enter(trace);
                 let mut local = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -273,7 +277,7 @@ pub fn madpipe_plan_with_stats(
     platform: &Platform,
     cfg: &PlannerConfig,
 ) -> (Result<MadPipePlan, PlanError>, PlannerStats) {
-    let total = madpipe_obs::timed("plan.total");
+    let total = madpipe_obs::span("plan.total");
     let mut stats = PlannerStats {
         threads: cfg.threads.max(1),
         ..PlannerStats::default()
@@ -290,8 +294,9 @@ pub fn madpipe_plan_with_stats(
             plan_inner(&mut session, cfg, &mut stats)
         }
     };
-    stats.total_seconds = total.finish();
-    mirror_into_metrics(&mut stats);
+    stats
+        .metrics
+        .set_gauge(counters::TOTAL_SECONDS, total.finish());
     (result, stats)
 }
 
@@ -308,7 +313,7 @@ pub fn madpipe_plan_with_session(
     session: &mut ProbeSession<'_>,
     cfg: &PlannerConfig,
 ) -> (Result<MadPipePlan, PlanError>, PlannerStats) {
-    let total = madpipe_obs::timed("plan.total");
+    let total = madpipe_obs::span("plan.total");
     let mut stats = PlannerStats {
         threads: cfg.threads.max(1),
         ..PlannerStats::default()
@@ -326,56 +331,16 @@ pub fn madpipe_plan_with_session(
             Ok(()) => plan_inner(session, cfg, &mut stats),
         }
     };
-    stats.total_seconds = total.finish();
-    mirror_into_metrics(&mut stats);
+    stats
+        .metrics
+        .set_gauge(counters::TOTAL_SECONDS, total.finish());
     (result, stats)
 }
 
-/// Mirror the planner-level counters and phase clocks into the frozen
-/// registry, so machine consumers (`--metrics-out`, `--stats-json`)
-/// see one namespace alongside the DP counters.
-fn mirror_into_metrics(stats: &mut PlannerStats) {
-    if stats.schedules_attempted > 0 {
-        stats.metrics.bump_counter(
-            counters::SCHEDULES_ATTEMPTED,
-            stats.schedules_attempted as u64,
-        );
-    }
-    if stats.schedules_solved > 0 {
-        stats
-            .metrics
-            .bump_counter(counters::SCHEDULES_SOLVED, stats.schedules_solved as u64);
-    }
-    for source in [
-        ProbeSource::Bisection,
-        ProbeSource::ContiguousFallback,
-        ProbeSource::Refinement,
-        ProbeSource::Bridge,
-    ] {
-        let n = stats.probes.iter().filter(|p| p.source == source).count();
-        if n > 0 {
-            stats
-                .metrics
-                .bump_counter(&format!("planner.probes.{source}"), n as u64);
-        }
-    }
-    stats
-        .metrics
-        .set_gauge("plan.phase1.seconds", stats.phase1_seconds);
-    stats
-        .metrics
-        .set_gauge("plan.fallback.seconds", stats.fallback_seconds);
-    stats
-        .metrics
-        .set_gauge("plan.refine.seconds", stats.refine_seconds);
-    stats
-        .metrics
-        .set_gauge("plan.schedule.seconds", stats.schedule_seconds);
-    stats
-        .metrics
-        .set_gauge("plan.total.seconds", stats.total_seconds);
-}
-
+/// Phase 1, the fallback, phase 2 and refinement through `session`.
+/// This plan's own numbers — phase clocks, phase-2 counts, probes per
+/// source — go to a per-plan registry that is merged with the session's
+/// (cumulative) one into [`PlannerStats::metrics`].
 fn plan_inner(
     session: &mut ProbeSession<'_>,
     cfg: &PlannerConfig,
@@ -385,8 +350,10 @@ fn plan_inner(
     let platform = session.platform();
     let threads = cfg.threads.max(1);
 
+    let numbers = Registry::new();
+
     // Phase 1: Algorithm 1's bisection.
-    let clock = madpipe_obs::timed("plan.phase1.bisect");
+    let clock = madpipe_obs::span("plan.phase1.bisect");
     let phase1 = madpipe_allocation_session(
         chain,
         platform,
@@ -394,25 +361,34 @@ fn plan_inner(
         session,
         cfg.algorithm1.use_special,
     );
-    stats.phase1_seconds = clock.finish();
+    numbers.set_gauge(counters::PHASE1_SECONDS, clock.finish());
 
     // Memory-aware contiguous fallback: the same DP without the special
     // processor, through the same session. Its allocations schedule
     // exactly at their 1F1B* optimum, so it rescues instances where every
     // special-processor probe is over-optimistic; it is also the ablation
     // baseline.
-    let clock = madpipe_obs::timed("plan.fallback.contiguous");
+    let clock = madpipe_obs::span("plan.fallback.contiguous");
     let fallback = if cfg.algorithm1.use_special {
         madpipe_allocation_session(chain, platform, &cfg.algorithm1, session, false)
     } else {
         None
     };
-    stats.fallback_seconds = clock.finish();
+    numbers.set_gauge(counters::FALLBACK_SECONDS, clock.finish());
 
     let finalize = |stats: &mut PlannerStats, session: &mut ProbeSession<'_>| {
-        stats.dp = session.stats();
-        stats.metrics = session.registry().snapshot();
         stats.probes = session.take_records();
+        for source in [
+            ProbeSource::Bisection,
+            ProbeSource::ContiguousFallback,
+            ProbeSource::Refinement,
+            ProbeSource::Bridge,
+        ] {
+            let n = stats.probes.iter().filter(|p| p.source == source).count();
+            numbers.add(&format!("planner.probes.{source}"), n as u64);
+        }
+        numbers.merge(session.registry());
+        stats.metrics = numbers.snapshot();
     };
 
     let Some(phase1) = phase1 else {
@@ -442,13 +418,13 @@ fn plan_inner(
     // strict `<` so ties keep the earlier (better-estimate) candidate.
     let mut best: Option<(Allocation, Vec<StagePolicy>, SolvedSchedule)> = None;
     let mut last_err: Option<ScheduleError> = None;
-    let clock = madpipe_obs::timed("plan.phase2.schedule");
+    let clock = madpipe_obs::span("plan.phase2.schedule");
     let solved = schedule_batch(chain, platform, &candidates, &cfg.place, threads);
-    stats.schedules_attempted += candidates.len();
+    numbers.add(counters::SCHEDULES_ATTEMPTED, candidates.len() as u64);
     for ((alloc, policies), res) in candidates.iter().zip(solved) {
         match res {
             Ok(s) => {
-                stats.schedules_solved += 1;
+                numbers.inc(counters::SCHEDULES_SOLVED);
                 if best.as_ref().is_none_or(|(_, _, b)| s.period < b.period) {
                     best = Some((alloc.clone(), policies.clone(), s));
                 }
@@ -456,7 +432,7 @@ fn plan_inner(
             Err(e) => last_err = Some(e),
         }
     }
-    stats.schedule_seconds += clock.finish();
+    let mut schedule_seconds = clock.finish();
 
     // Refinement: probe extra targets between the load lower bound and
     // the best achieved period, selecting by achieved period. The grid
@@ -465,7 +441,7 @@ fn plan_inner(
         let lb = chain.total_compute_time() / platform.n_gpus as f64;
         let hi = s.period * 1.02;
         if cfg.refine_probes > 0 && hi > lb {
-            let clock = madpipe_obs::timed("plan.refine.grid");
+            let clock = madpipe_obs::span("plan.refine.grid");
             let ratio = (hi / lb).powf(1.0 / cfg.refine_probes as f64);
             let seen: Vec<f64> = phase1.probes.iter().map(|p| p.t_hat).collect();
             let mut targets: Vec<f64> = Vec::new();
@@ -482,7 +458,7 @@ fn plan_inner(
                 ProbeSource::Refinement,
                 threads,
             );
-            stats.refine_seconds = clock.finish();
+            numbers.set_gauge(counters::REFINE_SECONDS, clock.finish());
 
             let mut fresh: Vec<(Allocation, Vec<StagePolicy>)> = Vec::new();
             for out in outcomes {
@@ -493,13 +469,13 @@ fn plan_inner(
                     }
                 }
             }
-            let clock = madpipe_obs::timed("plan.phase2.schedule");
+            let clock = madpipe_obs::span("plan.phase2.schedule");
             let solved = schedule_batch(chain, platform, &fresh, &cfg.place, threads);
-            stats.schedules_attempted += fresh.len();
+            numbers.add(counters::SCHEDULES_ATTEMPTED, fresh.len() as u64);
             for ((alloc, policies), res) in fresh.iter().zip(solved) {
                 match res {
                     Ok(s) => {
-                        stats.schedules_solved += 1;
+                        numbers.inc(counters::SCHEDULES_SOLVED);
                         if best.as_ref().is_none_or(|(_, _, b)| s.period < b.period) {
                             best = Some((alloc.clone(), policies.clone(), s));
                         }
@@ -507,10 +483,11 @@ fn plan_inner(
                     Err(e) => last_err = Some(e),
                 }
             }
-            stats.schedule_seconds += clock.finish();
+            schedule_seconds += clock.finish();
         }
     }
 
+    numbers.set_gauge(counters::SCHEDULE_SECONDS, schedule_seconds);
     finalize(stats, session);
     match best {
         Some((allocation, policies, schedule)) => Ok(MadPipePlan {
@@ -638,9 +615,9 @@ mod tests {
         assert_eq!(a.phase1.period.to_bits(), b.phase1.period.to_bits());
         assert_eq!(a.allocation, b.allocation);
         // Everything but wall-clock agrees: same probes, same counters.
-        assert_eq!(sa.dp, sb.dp);
-        assert_eq!(sa.schedules_attempted, sb.schedules_attempted);
-        assert_eq!(sa.schedules_solved, sb.schedules_solved);
+        assert_eq!(sa.dp(), sb.dp());
+        assert_eq!(sa.schedules_attempted(), sb.schedules_attempted());
+        assert_eq!(sa.schedules_solved(), sb.schedules_solved());
         assert_eq!(sa.probes.len(), sb.probes.len());
         for (x, y) in sa.probes.iter().zip(&sb.probes) {
             assert_eq!(x.source, y.source);
@@ -661,18 +638,16 @@ mod tests {
         let platform = Platform::new(3, 6 << 20, 1e9).unwrap();
         let (plan, stats) = madpipe_plan_with_stats(&c, &platform, &PlannerConfig::default());
         plan.unwrap();
-        assert_eq!(
-            stats.probes.len(),
-            stats.dp.solves + stats.dp.probes_saved()
-        );
-        assert!(stats.dp.solves > 0);
+        let dp = stats.dp();
+        assert_eq!(stats.probes.len(), dp.solves + dp.probes_saved());
+        assert!(dp.solves > 0);
         assert!(
-            stats.dp.probes_saved() > 0,
+            dp.probes_saved() > 0,
             "low refinement targets must be answered by the infeasibility bound: {stats:?}"
         );
-        assert!(stats.schedules_attempted >= stats.schedules_solved);
-        assert!(stats.schedules_solved > 0);
-        assert!(stats.total_seconds > 0.0);
+        assert!(stats.schedules_attempted() >= stats.schedules_solved());
+        assert!(stats.schedules_solved() > 0);
+        assert!(stats.total_seconds() > 0.0);
         assert!(stats
             .probes
             .iter()

@@ -2,25 +2,29 @@
 //! plans, exposed to the CLI (`--stats`, `--stats-json`) and the bench
 //! CSV writers.
 //!
-//! The source of truth is the [`madpipe_obs::Registry`] owned by the DP
-//! session — every counter below is a *view* over it:
+//! Every number is stored once, in a metrics registry — the DP session's
+//! [`madpipe_obs::Registry`] for the DP counters, and the frozen
+//! [`PlannerStats::metrics`] snapshot for everything one plan adds — and
+//! read through views over it:
 //!
 //! * [`DpStats`] — the named counters of the cross-probe DP session
-//!   ([`crate::dp::ProbeSession`]), derived from the registry with
-//!   [`DpStats::from_registry`]: how many DP solves actually ran, how
+//!   ([`crate::dp::ProbeSession`]): how many DP solves actually ran, how
 //!   many probes were answered from the outcome cache or the monotone
 //!   infeasibility bound, and the memoization/prune behaviour inside the
 //!   solves that did run;
 //! * [`PlannerStats`] — the end-to-end picture: the probe timeline (every
 //!   target period evaluated, tagged with the planner stage that asked
-//!   for it), phase wall-clock times, phase-2 scheduling counts, and the
-//!   full frozen registry ([`PlannerStats::metrics`]) for machine
-//!   consumers ([`PlannerStats::to_json`], the Prometheus dump).
+//!   for it) and the frozen registry, whose phase wall-clocks, phase-2
+//!   scheduling counts and certification verdicts the accessors read;
+//!   machine consumers take the snapshot whole ([`PlannerStats::to_json`],
+//!   the Prometheus dump).
 
 use madpipe_json::Value;
 use madpipe_obs::{MetricsSnapshot, Registry};
 
-/// Registry counter names of the DP session (the [`DpStats`] fields).
+/// Registry names of the planner numbers: the DP session's counters
+/// (the [`DpStats`] fields) and each plan's phase-2, certification and
+/// wall-clock entries (the [`PlannerStats`] accessors).
 pub mod counters {
     pub const DP_SOLVES: &str = "dp.solves";
     pub const DP_OUTCOME_HITS: &str = "dp.outcome_hits";
@@ -40,6 +44,16 @@ pub mod counters {
     pub const SCHEDULES_SOLVED: &str = "planner.schedules_solved";
     pub const CERTIFY_PASSED: &str = "planner.certifications_passed";
     pub const CERTIFY_FAILED: &str = "planner.certifications_failed";
+    /// Gauges: per-phase wall clocks of one plan, in seconds. Phase 2's
+    /// two passes (before and after refinement) add up to one
+    /// `schedule` time; `total` includes any certification recorded
+    /// afterwards.
+    pub const PHASE1_SECONDS: &str = "plan.phase1.seconds";
+    pub const FALLBACK_SECONDS: &str = "plan.fallback.seconds";
+    pub const REFINE_SECONDS: &str = "plan.refine.seconds";
+    pub const SCHEDULE_SECONDS: &str = "plan.schedule.seconds";
+    pub const CERTIFY_SECONDS: &str = "plan.certify.seconds";
+    pub const TOTAL_SECONDS: &str = "plan.total.seconds";
 }
 
 /// Aggregate counters of one [`crate::dp::ProbeSession`].
@@ -73,33 +87,28 @@ pub struct DpStats {
 impl DpStats {
     /// The counter view over a DP session's registry.
     pub fn from_registry(registry: &Registry) -> Self {
-        use counters::*;
-        Self {
-            solves: registry.counter(DP_SOLVES) as usize,
-            outcome_hits: registry.counter(DP_OUTCOME_HITS) as usize,
-            bound_prunes: registry.counter(DP_BOUND_PRUNES) as usize,
-            states_created: registry.counter(DP_STATES_CREATED),
-            states_reused: registry.counter(DP_STATES_REUSED),
-            states_seeded: registry.counter(DP_STATES_SEEDED),
-            memo_hits: registry.counter(DP_MEMO_HITS),
-            load_prunes: registry.counter(DP_LOAD_PRUNES),
-            memory_prunes: registry.counter(DP_MEMORY_PRUNES),
-            branch_prunes: registry.counter(DP_BRANCH_PRUNES),
-        }
+        Self::from_counters(|name| registry.counter(name))
     }
 
-    /// Fold another set of counters into this one.
-    pub fn merge(&mut self, other: &DpStats) {
-        self.solves += other.solves;
-        self.outcome_hits += other.outcome_hits;
-        self.bound_prunes += other.bound_prunes;
-        self.states_created += other.states_created;
-        self.states_reused += other.states_reused;
-        self.states_seeded += other.states_seeded;
-        self.memo_hits += other.memo_hits;
-        self.load_prunes += other.load_prunes;
-        self.memory_prunes += other.memory_prunes;
-        self.branch_prunes += other.branch_prunes;
+    /// The counter view over a frozen registry.
+    pub fn from_snapshot(metrics: &MetricsSnapshot) -> Self {
+        Self::from_counters(|name| metrics.counter(name))
+    }
+
+    fn from_counters(counter: impl Fn(&str) -> u64) -> Self {
+        use counters::*;
+        Self {
+            solves: counter(DP_SOLVES) as usize,
+            outcome_hits: counter(DP_OUTCOME_HITS) as usize,
+            bound_prunes: counter(DP_BOUND_PRUNES) as usize,
+            states_created: counter(DP_STATES_CREATED),
+            states_reused: counter(DP_STATES_REUSED),
+            states_seeded: counter(DP_STATES_SEEDED),
+            memo_hits: counter(DP_MEMO_HITS),
+            load_prunes: counter(DP_LOAD_PRUNES),
+            memory_prunes: counter(DP_MEMORY_PRUNES),
+            branch_prunes: counter(DP_BRANCH_PRUNES),
+        }
     }
 
     /// Probes answered without running a DP solve.
@@ -160,64 +169,101 @@ pub struct ProbeRecord {
 /// failed, e.g. every probe infeasible).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlannerStats {
-    /// Aggregate DP counters of the shared probe session.
-    pub dp: DpStats,
     /// Every probe in evaluation order (parallel batches keep their
     /// submission order, so the timeline is deterministic).
     pub probes: Vec<ProbeRecord>,
-    /// Distinct allocations handed to phase 2.
-    pub schedules_attempted: usize,
-    /// Of those, how many produced a valid schedule.
-    pub schedules_solved: usize,
-    /// Wall time of the phase-1 bisection (including its DP solves).
-    pub phase1_seconds: f64,
-    /// Wall time of the contiguous-fallback bisection.
-    pub fallback_seconds: f64,
-    /// Wall time of the refinement-grid probes.
-    pub refine_seconds: f64,
-    /// Wall time of phase-2 scheduling (all candidate allocations).
-    pub schedule_seconds: f64,
-    /// Wall time of differential certification, folded in by
-    /// [`crate::certify::Certificate::record`] (0 when no plan was
-    /// certified).
-    pub certify_seconds: f64,
-    /// Total wall time: the plan call plus any certification recorded
-    /// afterwards, so the phase times always sum to at most this.
-    pub total_seconds: f64,
     /// Worker threads used for independent probes and scheduling.
     pub threads: usize,
-    /// Plans that passed differential certification
-    /// ([`crate::certify::Certificate::record`]).
-    pub certifications_passed: usize,
-    /// Plans that failed it.
-    pub certifications_failed: usize,
-    /// The frozen metrics registry: every counter above plus the
-    /// log₂ timing/state histograms, exportable as Prometheus text or
-    /// JSON.
+    /// The frozen metrics registry: the DP session's counters and log₂
+    /// timing/state histograms plus this plan's [`counters`] entries —
+    /// the one store of every number the accessors below return,
+    /// exportable as Prometheus text or JSON.
     pub metrics: MetricsSnapshot,
 }
 
 impl PlannerStats {
+    /// Aggregate DP counters of the probe session.
+    pub fn dp(&self) -> DpStats {
+        DpStats::from_snapshot(&self.metrics)
+    }
+
+    /// Distinct allocations handed to phase 2.
+    pub fn schedules_attempted(&self) -> u64 {
+        self.metrics.counter(counters::SCHEDULES_ATTEMPTED)
+    }
+
+    /// Of those, how many produced a valid schedule.
+    pub fn schedules_solved(&self) -> u64 {
+        self.metrics.counter(counters::SCHEDULES_SOLVED)
+    }
+
+    /// Plans that passed differential certification
+    /// ([`crate::certify::Certificate::record`]).
+    pub fn certifications_passed(&self) -> u64 {
+        self.metrics.counter(counters::CERTIFY_PASSED)
+    }
+
+    /// Plans that failed it.
+    pub fn certifications_failed(&self) -> u64 {
+        self.metrics.counter(counters::CERTIFY_FAILED)
+    }
+
+    /// Wall time of the phase-1 bisection (including its DP solves).
+    pub fn phase1_seconds(&self) -> f64 {
+        self.metrics.gauge(counters::PHASE1_SECONDS)
+    }
+
+    /// Wall time of the contiguous-fallback bisection.
+    pub fn fallback_seconds(&self) -> f64 {
+        self.metrics.gauge(counters::FALLBACK_SECONDS)
+    }
+
+    /// Wall time of the refinement-grid probes.
+    pub fn refine_seconds(&self) -> f64 {
+        self.metrics.gauge(counters::REFINE_SECONDS)
+    }
+
+    /// Wall time of phase-2 scheduling (both passes, all candidates).
+    pub fn schedule_seconds(&self) -> f64 {
+        self.metrics.gauge(counters::SCHEDULE_SECONDS)
+    }
+
+    /// Wall time of differential certification (0 when no plan was
+    /// certified).
+    pub fn certify_seconds(&self) -> f64 {
+        self.metrics.gauge(counters::CERTIFY_SECONDS)
+    }
+
+    /// Total wall time: the plan call plus any certification recorded
+    /// afterwards, so the phase times always sum to at most this.
+    pub fn total_seconds(&self) -> f64 {
+        self.metrics.gauge(counters::TOTAL_SECONDS)
+    }
+
     /// One-line summary suitable for CLI output.
     pub fn summary(&self) -> String {
+        let dp = self.dp();
         let mut s = format!(
             "probes {} ({} solved, {} cached, {} pruned), states {} (+{} reused), \
              schedules {}/{}, {:.3}s total ({} thread{})",
             self.probes.len(),
-            self.dp.solves,
-            self.dp.outcome_hits,
-            self.dp.bound_prunes,
-            self.dp.states_created,
-            self.dp.states_reused,
-            self.schedules_solved,
-            self.schedules_attempted,
-            self.total_seconds,
+            dp.solves,
+            dp.outcome_hits,
+            dp.bound_prunes,
+            dp.states_created,
+            dp.states_reused,
+            self.schedules_solved(),
+            self.schedules_attempted(),
+            self.total_seconds(),
             self.threads,
             if self.threads == 1 { "" } else { "s" },
         );
-        let certs = self.certifications_passed + self.certifications_failed;
+        let certs = self.certifications_passed() + self.certifications_failed();
         if certs > 0 {
-            s.push_str(&format!(", certify {}/{certs}", self.certifications_passed));
+            s.push_str(&format!(
+                ", certify {}/{certs}",
+                self.certifications_passed()
+            ));
         }
         s
     }
@@ -227,15 +273,15 @@ impl PlannerStats {
     ///
     /// [`total_seconds`]: PlannerStats::total_seconds
     pub fn phase_seconds_sum(&self) -> f64 {
-        self.phase1_seconds
-            + self.fallback_seconds
-            + self.refine_seconds
-            + self.schedule_seconds
-            + self.certify_seconds
+        self.phase1_seconds()
+            + self.fallback_seconds()
+            + self.refine_seconds()
+            + self.schedule_seconds()
+            + self.certify_seconds()
     }
 
-    /// Machine-readable export: every field, the probe timeline and the
-    /// full metrics snapshot (the `--stats-json` payload).
+    /// Machine-readable export: the probe timeline, the thread count and
+    /// the full metrics snapshot (the `--stats-json` payload).
     pub fn to_json(&self) -> Value {
         let probe = |p: &ProbeRecord| {
             Value::Object(vec![
@@ -258,58 +304,10 @@ impl PlannerStats {
         };
         Value::Object(vec![
             (
-                "dp".into(),
-                Value::Object(vec![
-                    ("solves".into(), Value::UInt(self.dp.solves as u64)),
-                    (
-                        "outcome_hits".into(),
-                        Value::UInt(self.dp.outcome_hits as u64),
-                    ),
-                    (
-                        "bound_prunes".into(),
-                        Value::UInt(self.dp.bound_prunes as u64),
-                    ),
-                    ("states_created".into(), Value::UInt(self.dp.states_created)),
-                    ("states_reused".into(), Value::UInt(self.dp.states_reused)),
-                    ("states_seeded".into(), Value::UInt(self.dp.states_seeded)),
-                    ("memo_hits".into(), Value::UInt(self.dp.memo_hits)),
-                    ("load_prunes".into(), Value::UInt(self.dp.load_prunes)),
-                    ("memory_prunes".into(), Value::UInt(self.dp.memory_prunes)),
-                    ("branch_prunes".into(), Value::UInt(self.dp.branch_prunes)),
-                ]),
-            ),
-            (
                 "probes".into(),
                 Value::Array(self.probes.iter().map(probe).collect()),
             ),
-            (
-                "schedules_attempted".into(),
-                Value::UInt(self.schedules_attempted as u64),
-            ),
-            (
-                "schedules_solved".into(),
-                Value::UInt(self.schedules_solved as u64),
-            ),
-            (
-                "phase_seconds".into(),
-                Value::Object(vec![
-                    ("phase1".into(), Value::Float(self.phase1_seconds)),
-                    ("fallback".into(), Value::Float(self.fallback_seconds)),
-                    ("refine".into(), Value::Float(self.refine_seconds)),
-                    ("schedule".into(), Value::Float(self.schedule_seconds)),
-                    ("certify".into(), Value::Float(self.certify_seconds)),
-                    ("total".into(), Value::Float(self.total_seconds)),
-                ]),
-            ),
             ("threads".into(), Value::UInt(self.threads as u64)),
-            (
-                "certifications_passed".into(),
-                Value::UInt(self.certifications_passed as u64),
-            ),
-            (
-                "certifications_failed".into(),
-                Value::UInt(self.certifications_failed as u64),
-            ),
             ("metrics".into(), self.metrics.to_json()),
         ])
     }
@@ -320,49 +318,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_adds_counters() {
-        let mut a = DpStats {
-            solves: 2,
-            outcome_hits: 1,
-            bound_prunes: 0,
-            states_created: 100,
-            states_reused: 40,
-            states_seeded: 5,
-            memo_hits: 7,
-            load_prunes: 3,
-            memory_prunes: 1,
-            branch_prunes: 11,
-        };
-        let b = DpStats {
-            solves: 1,
-            outcome_hits: 2,
-            bound_prunes: 3,
-            states_created: 10,
-            states_reused: 0,
-            states_seeded: 2,
-            memo_hits: 1,
-            load_prunes: 1,
-            memory_prunes: 0,
-            branch_prunes: 4,
-        };
-        a.merge(&b);
-        assert_eq!(a.solves, 3);
-        assert_eq!(a.outcome_hits, 3);
-        assert_eq!(a.bound_prunes, 3);
-        assert_eq!(a.states_created, 110);
-        assert_eq!(a.states_seeded, 7);
-        assert_eq!(a.branch_prunes, 15);
-        assert_eq!(a.probes_saved(), 6);
-    }
-
-    #[test]
-    fn summary_mentions_the_key_counters() {
-        let stats = PlannerStats {
+    fn summary_and_accessors_read_the_snapshot() {
+        let mut stats = PlannerStats {
             threads: 4,
-            schedules_attempted: 5,
-            schedules_solved: 4,
             ..PlannerStats::default()
         };
+        stats.metrics.bump_counter(counters::SCHEDULES_ATTEMPTED, 5);
+        stats.metrics.bump_counter(counters::SCHEDULES_SOLVED, 4);
+        stats.metrics.bump_counter(counters::DP_SOLVES, 7);
+        stats.metrics.set_gauge(counters::PHASE1_SECONDS, 0.25);
+        stats.metrics.set_gauge(counters::SCHEDULE_SECONDS, 0.5);
+        assert_eq!(stats.schedules_attempted(), 5);
+        assert_eq!(stats.dp().solves, 7);
+        assert_eq!(stats.phase_seconds_sum(), 0.75);
+        assert_eq!(stats.refine_seconds(), 0.0, "absent gauges read 0");
         let s = stats.summary();
         assert!(s.contains("4/5"));
         assert!(s.contains("4 threads"));
@@ -384,7 +353,7 @@ mod tests {
 
     #[test]
     fn json_export_round_trips_and_encodes_infinity_as_null() {
-        let stats = PlannerStats {
+        let mut stats = PlannerStats {
             probes: vec![
                 ProbeRecord {
                     source: ProbeSource::Bisection,
@@ -407,12 +376,10 @@ mod tests {
                     seconds: 0.0,
                 },
             ],
-            schedules_attempted: 2,
-            schedules_solved: 1,
-            total_seconds: 1.5,
             threads: 2,
             ..PlannerStats::default()
         };
+        stats.metrics.set_gauge(counters::TOTAL_SECONDS, 1.5);
         let v = stats.to_json();
         let text = v.to_string_pretty();
         let back = Value::parse(&text).unwrap();
@@ -421,9 +388,11 @@ mod tests {
         assert_eq!(probes[0].field("period").unwrap().as_f64().unwrap(), 0.75);
         assert_eq!(probes[1].field("period").unwrap(), &Value::Null);
         assert_eq!(
-            back.field("phase_seconds")
+            back.field("metrics")
                 .unwrap()
-                .field("total")
+                .field("gauges")
+                .unwrap()
+                .field(counters::TOTAL_SECONDS)
                 .unwrap()
                 .as_f64()
                 .unwrap(),

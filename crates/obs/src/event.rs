@@ -1,17 +1,15 @@
 //! The shared trace-event model behind every exporter.
 //!
 //! A [`Trace`] is an ordered list of [`TraceEvent`]s in the Chrome
-//! tracing vocabulary: complete spans (`ph:"X"`), counter samples
-//! (`ph:"C"`) and metadata (`ph:"M"`). One model, two renderings —
-//! Chrome/Perfetto JSON (`{"traceEvents": [...]}`) and a JSON-lines
-//! event log (one event object per line) — so the CLI's `--trace-out`,
-//! `certify --chrome-trace` and `sim::schedule_trace` cannot drift
-//! apart. Counter values carry [`Value`]s, so byte counts stay exact
+//! tracing vocabulary: complete spans (`ph:"X"`), instants (`ph:"i"`),
+//! counter samples (`ph:"C"`) and metadata (`ph:"M"`). One model, two
+//! renderings — Chrome/Perfetto JSON (`{"traceEvents": [...]}`) and a
+//! JSON-lines event log (one event object per line) — so flight dumps,
+//! the CLI's `--trace-out`, `certify --chrome-trace` and
+//! `sim::schedule_trace` cannot drift apart. Counter values carry [`Value`]s, so byte counts stay exact
 //! `u64`s through a round trip.
 
 use madpipe_json::Value;
-
-use crate::span::SpanRecord;
 
 /// Chrome process id used for planner-side spans.
 pub const PLANNER_PID: u64 = 1;
@@ -23,6 +21,8 @@ pub const SCHEDULE_PID: u64 = 2;
 pub enum Phase {
     /// `ph:"X"` — a complete span with `ts` + `dur`.
     Complete,
+    /// `ph:"i"` — a point event.
+    Instant,
     /// `ph:"C"` — a counter sample.
     Counter,
     /// `ph:"M"` — metadata (process/thread names).
@@ -33,6 +33,7 @@ impl Phase {
     fn code(self) -> &'static str {
         match self {
             Phase::Complete => "X",
+            Phase::Instant => "i",
             Phase::Counter => "C",
             Phase::Metadata => "M",
         }
@@ -166,36 +167,6 @@ impl Trace {
         });
     }
 
-    /// Import collected tracer spans as complete events under `pid`,
-    /// naming each thread row it references.
-    pub fn add_spans(&mut self, pid: u64, spans: &[SpanRecord]) {
-        let mut tids: Vec<u64> = spans.iter().map(|s| s.tid).collect();
-        tids.sort_unstable();
-        tids.dedup();
-        for tid in tids {
-            let name = if tid == 0 {
-                "main".to_string()
-            } else {
-                format!("worker-{tid}")
-            };
-            self.thread_name(pid, tid, &name);
-        }
-        for s in spans {
-            self.complete(
-                pid,
-                s.tid,
-                s.name,
-                "span",
-                s.ts_us,
-                s.dur_us,
-                s.args
-                    .iter()
-                    .map(|(k, v)| ((*k).to_string(), Value::Float(*v)))
-                    .collect(),
-            );
-        }
-    }
-
     /// Append every event of `other`.
     pub fn extend(&mut self, other: Trace) {
         self.events.extend(other.events);
@@ -285,38 +256,5 @@ mod tests {
             assert!(v.get("ph").is_some());
             assert!(v.get("name").is_some());
         }
-    }
-
-    #[test]
-    fn spans_import_with_thread_rows() {
-        let spans = vec![
-            crate::SpanRecord {
-                name: "dp.solve",
-                ts_us: 5.0,
-                dur_us: 2.0,
-                tid: 3,
-                depth: 1,
-                args: vec![("t_hat", 0.5)],
-            },
-            crate::SpanRecord {
-                name: "plan.total",
-                ts_us: 0.0,
-                dur_us: 10.0,
-                tid: 0,
-                depth: 0,
-                args: vec![],
-            },
-        ];
-        let mut t = Trace::new();
-        t.add_spans(PLANNER_PID, &spans);
-        let meta: Vec<&TraceEvent> = t
-            .events
-            .iter()
-            .filter(|e| e.ph == Phase::Metadata)
-            .collect();
-        assert_eq!(meta.len(), 2, "one thread_name per distinct tid");
-        let solve = t.events.iter().find(|e| e.name == "dp.solve").unwrap();
-        assert_eq!(solve.tid, 3);
-        assert_eq!(solve.args[0].1, Value::Float(0.5));
     }
 }

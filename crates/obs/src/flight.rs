@@ -1,11 +1,11 @@
 //! Always-on flight recorder: a fixed-size, lock-free ring of recent
-//! span/counter events, dumped post-mortem (panic, SIGTERM, chaos
-//! daemon-kill) as a JSONL artifact that `madpipe trace-merge` and
-//! `validate-trace` consume.
+//! span/instant/counter events — the only span sink of the workspace.
+//! Daemons dump it post-mortem (panic, SIGTERM, chaos daemon-kill) as a
+//! JSONL artifact that `madpipe trace-merge` and `validate-trace`
+//! consume; the CLI's `--trace-out` drains it into a Chrome trace.
 //!
-//! Unlike the [`crate::span`] tracer — opt-in, unbounded, drained by the
-//! process that enabled it — the flight recorder is always recording and
-//! never allocates after construction. Each slot is a per-slot seqlock:
+//! The recorder never allocates after construction. Each slot is a
+//! per-slot seqlock:
 //! a writer claims a sequence number with one `fetch_add`, claims the
 //! slot by CAS-ing its stamp odd (`2·seq+1`), stores the event as plain
 //! atomic words, and stamps it even (`2·seq+2`). A reader copies the
@@ -24,11 +24,24 @@
 //! from different daemons merge onto one cluster timeline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use madpipe_json::Value;
 
-use crate::context::hex_id;
+use crate::context::{hex_id, TraceContext, MAX_ARGS};
+use crate::event::{Phase, Trace, TraceEvent};
+
+static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static THREAD_TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Dense per-process id of the calling thread (0 = first thread to
+/// record an event), the `tid` row of every event it records.
+fn current_tid() -> u64 {
+    THREAD_TID.with(|t| *t)
+}
 
 /// What one flight event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,17 +88,59 @@ pub struct FlightEvent {
     pub span: u64,
     /// Parent span id (0 = root or untraced).
     pub parent: u64,
-    /// Counter value (0 for spans/instants).
-    pub value: f64,
-    /// Dense thread id, shared with the span tracer.
+    /// Dense id of the recording thread.
     pub tid: u64,
     /// Ring sequence number: globally ordered, strictly increasing.
     pub seq: u64,
+    args: [(&'static str, f64); MAX_ARGS],
+    nargs: usize,
+}
+
+impl FlightEvent {
+    /// Numeric annotations: a counter's `value`, a span's `t_hat`, …
+    pub fn args(&self) -> &[(&'static str, f64)] {
+        &self.args[..self.nargs]
+    }
+
+    /// This event in the Chrome vocabulary under `pid` (`ph` X/i/C), with
+    /// the distributed ids as hex strings and the sequence number under
+    /// `args` — the one mapping behind flight dumps and `--trace-out`.
+    pub fn to_trace_event(&self, pid: u64) -> TraceEvent {
+        let mut args: Vec<(String, Value)> = Vec::new();
+        for (key, id) in [
+            ("trace", self.trace),
+            ("span", self.span),
+            ("parent", self.parent),
+        ] {
+            if id != 0 {
+                args.push((key.into(), Value::Str(hex_id(id))));
+            }
+        }
+        for (key, v) in self.args() {
+            args.push(((*key).into(), Value::Float(*v)));
+        }
+        args.push(("seq".into(), Value::UInt(self.seq)));
+        TraceEvent {
+            ph: match self.kind {
+                FlightKind::Span => Phase::Complete,
+                FlightKind::Instant => Phase::Instant,
+                FlightKind::Counter => Phase::Counter,
+            },
+            pid,
+            tid: self.tid,
+            name: self.name.to_string(),
+            cat: "flight",
+            ts_us: self.ts_us,
+            dur_us: self.dur_us,
+            args,
+        }
+    }
 }
 
 /// Payload word count per slot: name (ptr, len), ts, dur, trace, span,
-/// parent, value, kind|tid.
-const WORDS: usize = 9;
+/// parent, kind|nargs|tid, then (key ptr, key len, value) per argument.
+const HEADER_WORDS: usize = 8;
+const WORDS: usize = HEADER_WORDS + 3 * MAX_ARGS;
 
 struct Slot {
     /// 0 = never written; `2·seq+1` = seq's writer mid-store;
@@ -104,8 +159,8 @@ impl Slot {
 }
 
 /// A fixed-capacity lock-free event ring. The process-global instance
-/// behind [`record_span`] & co. is what the daemons dump; standalone
-/// rings exist for tests.
+/// behind [`crate::span`] and [`record_instant`] is what the daemons
+/// dump; standalone rings exist for tests.
 pub struct FlightRing {
     slots: Vec<Slot>,
     /// Next sequence number to claim.
@@ -114,6 +169,10 @@ pub struct FlightRing {
     read_cursor: AtomicU64,
     /// Events overwritten before any reader consumed them.
     dropped: AtomicU64,
+    /// Serializes drains: two concurrent drains (two worker panics
+    /// dumping at once) would both read the same cursor and return the
+    /// same events twice. Writers never take it.
+    draining: Mutex<()>,
 }
 
 impl FlightRing {
@@ -126,6 +185,7 @@ impl FlightRing {
             next: AtomicU64::new(0),
             read_cursor: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            draining: Mutex::new(()),
         }
     }
 
@@ -154,30 +214,34 @@ impl FlightRing {
         span: u64,
         parent: u64,
     ) {
-        self.record(
-            FlightKind::Span,
-            name,
-            ts_us,
-            dur_us,
-            trace,
-            span,
-            parent,
-            0.0,
-        );
+        let ctx = TraceContext { trace, parent };
+        self.record(FlightKind::Span, name, ts_us, dur_us, ctx, span, &[]);
     }
 
     pub fn record_instant(&self, name: &'static str, ts_us: f64, trace: u64, parent: u64) {
-        self.record(FlightKind::Instant, name, ts_us, 0.0, trace, 0, parent, 0.0);
+        let ctx = TraceContext { trace, parent };
+        self.record(FlightKind::Instant, name, ts_us, 0.0, ctx, 0, &[]);
     }
 
     pub fn record_counter(&self, name: &'static str, ts_us: f64, value: f64) {
-        self.record(FlightKind::Counter, name, ts_us, 0.0, 0, 0, 0, value);
+        let ctx = TraceContext::default();
+        self.record(
+            FlightKind::Counter,
+            name,
+            ts_us,
+            0.0,
+            ctx,
+            0,
+            &[("value", value)],
+        );
     }
 
     /// Everything is `SeqCst`: the single total order makes the seqlock
     /// argument direct (a reader whose two stamp loads agree read every
     /// payload word from that stamp's writer), and a few sequentially
     /// consistent stores per event is still far below one clock read.
+    /// Only the words of the arguments present are stored; the reader
+    /// never looks past the count packed into the kind word.
     #[allow(clippy::too_many_arguments)]
     fn record(
         &self,
@@ -185,11 +249,11 @@ impl FlightRing {
         name: &'static str,
         ts_us: f64,
         dur_us: f64,
-        trace: u64,
+        ctx: TraceContext,
         span: u64,
-        parent: u64,
-        value: f64,
+        args: &[(&'static str, f64)],
     ) {
+        let args = &args[..args.len().min(MAX_ARGS)];
         let cap = self.slots.len() as u64;
         let seq = self.next.fetch_add(1, Ordering::SeqCst);
         let slot = &self.slots[(seq % cap) as usize];
@@ -217,21 +281,30 @@ impl FlightRing {
         w[1].store(name.len() as u64, Ordering::SeqCst);
         w[2].store(ts_us.to_bits(), Ordering::SeqCst);
         w[3].store(dur_us.to_bits(), Ordering::SeqCst);
-        w[4].store(trace, Ordering::SeqCst);
+        w[4].store(ctx.trace, Ordering::SeqCst);
         w[5].store(span, Ordering::SeqCst);
-        w[6].store(parent, Ordering::SeqCst);
-        w[7].store(value.to_bits(), Ordering::SeqCst);
-        w[8].store(
-            kind.code() | (crate::span::current_tid() << 8),
+        w[6].store(ctx.parent, Ordering::SeqCst);
+        let nargs = args.len() as u64;
+        w[7].store(
+            kind.code() | (nargs << 4) | (current_tid() << 8),
             Ordering::SeqCst,
         );
+        for (i, (key, value)) in args.iter().enumerate() {
+            let at = HEADER_WORDS + 3 * i;
+            w[at].store(key.as_ptr() as u64, Ordering::SeqCst);
+            w[at + 1].store(key.len() as u64, Ordering::SeqCst);
+            w[at + 2].store(value.to_bits(), Ordering::SeqCst);
+        }
         slot.stamp.store(2 * seq + 2, Ordering::SeqCst);
     }
 
     /// Snapshot every consistent, not-yet-consumed event, oldest first,
     /// and advance the read cursor past them. Slots mid-write are
-    /// skipped (their loss, if lapped, is already in `dropped`).
+    /// skipped (their loss, if lapped, is already in `dropped`). Drains
+    /// run one at a time, so each event is returned at most once.
     pub fn drain(&self) -> Vec<FlightEvent> {
+        // The lock guards no data, so a poisoned one is still usable.
+        let _exclusive = self.draining.lock().unwrap_or_else(PoisonError::into_inner);
         let cursor = self.read_cursor.load(Ordering::SeqCst);
         let mut events: Vec<FlightEvent> = Vec::new();
         for slot in &self.slots {
@@ -247,29 +320,39 @@ impl FlightRing {
             if seq < cursor {
                 continue; // already consumed by an earlier drain
             }
-            let Some(kind) = FlightKind::from_code(words[8] & 0xff) else {
+            let Some(kind) = FlightKind::from_code(words[7] & 0xf) else {
                 continue;
             };
-            // SAFETY: the matching stamp pair proves every word is from
-            // one completed `record` call, whose (ptr, len) came from a
-            // live `&'static str`.
-            let name: &'static str = unsafe {
-                std::str::from_utf8_unchecked(std::slice::from_raw_parts(
-                    words[0] as *const u8,
-                    words[1] as usize,
-                ))
+            // SAFETY: the matching stamp pair proves every word read
+            // here is from one completed `record` call — the header, and
+            // the `nargs` argument triples it stored — whose (ptr, len)
+            // pairs came from live `&'static str`s.
+            let text = |at: usize| -> &'static str {
+                unsafe {
+                    std::str::from_utf8_unchecked(std::slice::from_raw_parts(
+                        words[at] as *const u8,
+                        words[at + 1] as usize,
+                    ))
+                }
             };
+            let nargs = (((words[7] >> 4) & 0xf) as usize).min(MAX_ARGS);
+            let mut args = [("", 0.0); MAX_ARGS];
+            for (i, arg) in args.iter_mut().enumerate().take(nargs) {
+                let at = HEADER_WORDS + 3 * i;
+                *arg = (text(at), f64::from_bits(words[at + 2]));
+            }
             events.push(FlightEvent {
                 kind,
-                name,
+                name: text(0),
                 ts_us: f64::from_bits(words[2]),
                 dur_us: f64::from_bits(words[3]),
                 trace: words[4],
                 span: words[5],
                 parent: words[6],
-                value: f64::from_bits(words[7]),
-                tid: words[8] >> 8,
+                tid: words[7] >> 8,
                 seq,
+                args,
+                nargs,
             });
         }
         events.sort_by_key(|e| e.seq);
@@ -287,26 +370,22 @@ fn ring() -> &'static FlightRing {
     RING.get_or_init(|| FlightRing::with_capacity(1 << 14))
 }
 
-/// Record a completed span into the global ring.
-pub fn record_span(
+/// Record a completed span into the global ring (the [`crate::Span`]
+/// guard's sink).
+pub(crate) fn record_span(
     name: &'static str,
     ts_us: f64,
     dur_us: f64,
-    trace: u64,
+    ctx: TraceContext,
     span: u64,
-    parent: u64,
+    args: &[(&'static str, f64)],
 ) {
-    ring().record_span(name, ts_us, dur_us, trace, span, parent);
+    ring().record(FlightKind::Span, name, ts_us, dur_us, ctx, span, args);
 }
 
 /// Record a point event into the global ring.
 pub fn record_instant(name: &'static str, ts_us: f64, trace: u64, parent: u64) {
     ring().record_instant(name, ts_us, trace, parent);
-}
-
-/// Record a counter sample into the global ring.
-pub fn record_counter(name: &'static str, ts_us: f64, value: f64) {
-    ring().record_counter(name, ts_us, value);
 }
 
 /// Events the global ring overwrote before any dump consumed them
@@ -320,49 +399,15 @@ pub fn drain() -> Vec<FlightEvent> {
     ring().drain()
 }
 
-/// Render events as flight-dump JSONL: one Chrome-vocabulary event
-/// object per line (`ph` X/i/C), with the distributed ids as hex
-/// strings under `args` — the format `trace-merge` stitches and
-/// `validate-trace` accepts directly.
+/// Render events as flight-dump JSONL: one [`FlightEvent::to_trace_event`]
+/// object per line under this process's pid — the format `trace-merge`
+/// stitches and `validate-trace` accepts directly.
 pub fn render_jsonl(events: &[FlightEvent]) -> String {
     let pid = u64::from(std::process::id());
-    let mut out = String::new();
-    for e in events {
-        let mut args: Vec<(String, Value)> = Vec::new();
-        if e.trace != 0 {
-            args.push(("trace".into(), Value::Str(hex_id(e.trace))));
-        }
-        if e.span != 0 {
-            args.push(("span".into(), Value::Str(hex_id(e.span))));
-        }
-        if e.parent != 0 {
-            args.push(("parent".into(), Value::Str(hex_id(e.parent))));
-        }
-        if e.kind == FlightKind::Counter {
-            args.push(("value".into(), Value::Float(e.value)));
-        }
-        args.push(("seq".into(), Value::UInt(e.seq)));
-        let ph = match e.kind {
-            FlightKind::Span => "X",
-            FlightKind::Instant => "i",
-            FlightKind::Counter => "C",
-        };
-        let mut fields = vec![
-            ("name".to_string(), Value::Str(e.name.to_string())),
-            ("ph".into(), Value::Str(ph.into())),
-            ("pid".into(), Value::UInt(pid)),
-            ("tid".into(), Value::UInt(e.tid)),
-            ("ts".into(), Value::Float(e.ts_us)),
-        ];
-        if e.kind == FlightKind::Span {
-            fields.push(("dur".into(), Value::Float(e.dur_us)));
-        }
-        fields.push(("cat".into(), Value::Str("flight".into())));
-        fields.push(("args".into(), Value::Object(args)));
-        out.push_str(&Value::Object(fields).to_string_compact());
-        out.push('\n');
+    Trace {
+        events: events.iter().map(|e| e.to_trace_event(pid)).collect(),
     }
-    out
+    .render_jsonl()
 }
 
 /// Drain the global ring and *append* it as JSONL to `path`; returns
@@ -403,7 +448,7 @@ mod tests {
         assert_eq!(events[0].dur_us, 5.0);
         assert_eq!(events[1].kind, FlightKind::Instant);
         assert_eq!(events[2].kind, FlightKind::Counter);
-        assert_eq!(events[2].value, 7.0);
+        assert_eq!(events[2].args(), &[("value", 7.0)]);
         assert_eq!(ring.dropped(), 0);
         // A second drain returns nothing new.
         assert!(ring.drain().is_empty());
@@ -431,9 +476,17 @@ mod tests {
     #[test]
     fn jsonl_rendering_is_chrome_compatible() {
         let ring = FlightRing::with_capacity(8);
-        ring.record_span("serve.request", 1.7e15, 42.0, 1, 2, 3);
+        let ctx = TraceContext {
+            trace: 1,
+            parent: 3,
+        };
+        let args = [("t_hat", 0.25), ("n", 3.0)];
+        ring.record(FlightKind::Span, "dp.solve", 1.7e15, 42.0, ctx, 2, &args);
         ring.record_instant("serve.panic", 1.7e15, 0, 0);
-        let text = render_jsonl(&ring.drain());
+        let events = ring.drain();
+        assert_eq!(events[0].args(), &args);
+        assert!(events[1].args().is_empty());
+        let text = render_jsonl(&events);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         let span = Value::parse(lines[0]).unwrap();
@@ -450,6 +503,9 @@ mod tests {
                 .as_str(),
             Ok("0000000000000003")
         );
+        let span_args = span.field("args").unwrap();
+        assert_eq!(span_args.field("t_hat").unwrap().as_f64(), Ok(0.25));
+        assert_eq!(span_args.field("n").unwrap().as_f64(), Ok(3.0));
         let instant = Value::parse(lines[1]).unwrap();
         assert_eq!(instant.field("ph").unwrap().as_str(), Ok("i"));
         assert!(instant.field("args").unwrap().get("trace").is_none());

@@ -257,6 +257,15 @@ impl MetricsSnapshot {
             .unwrap_or(0)
     }
 
+    /// Gauge lookup (0 if absent).
+    pub fn gauge(&self, name: &str) -> f64 {
+        self.gauges
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| *v)
+            .unwrap_or(0.0)
+    }
+
     /// Add `delta` to a counter in the frozen snapshot (used to fold
     /// post-planning events, e.g. certification verdicts).
     pub fn bump_counter(&mut self, name: &str, delta: u64) {

@@ -134,8 +134,8 @@ proptest! {
         }
     }
 
-    /// Drains racing the writers stay sound: every event ever observed
-    /// is untorn and no seq is yielded twice across drains.
+    /// Drains racing the writers and each other stay sound: every event
+    /// ever observed is untorn and no seq is yielded twice across drains.
     #[test]
     fn concurrent_drains_see_each_event_at_most_once(
         cap_exp in 3u32..6,
@@ -152,11 +152,25 @@ proptest! {
                     }
                 });
             }
-            for _ in 0..8 {
-                for e in ring.drain() {
-                    assert_untorn(&e);
-                    observed.push(e.seq);
-                }
+            // Two drainers race each other as well as the writers (two
+            // worker panics dumping at once).
+            let drainers: Vec<_> = (0..2)
+                .map(|_| {
+                    let ring = &ring;
+                    s.spawn(move || {
+                        let mut seen = Vec::new();
+                        for _ in 0..8 {
+                            for e in ring.drain() {
+                                assert_untorn(&e);
+                                seen.push(e.seq);
+                            }
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            for d in drainers {
+                observed.extend(d.join().expect("drainer panicked"));
             }
         });
         for e in ring.drain() {

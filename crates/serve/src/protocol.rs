@@ -170,11 +170,7 @@ pub struct ReplanRequest {
 
 /// Distributed trace context found on a request line: the end-to-end
 /// trace id plus the caller's span id (0 = this hop is the trace root).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceContext {
-    pub trace: u64,
-    pub parent: u64,
-}
+pub use madpipe_obs::TraceContext;
 
 /// Parse one request line together with its optional trace context.
 /// The context is `Some` only when the line carries a valid nonzero

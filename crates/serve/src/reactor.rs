@@ -48,6 +48,7 @@ use std::time::{Duration, Instant};
 
 use madpipe_json::Value;
 use madpipe_model::{Platform, PlatformFault};
+use madpipe_obs::{Span, TraceContext};
 
 use crate::protocol::{
     attach_trace, error_response, gossip_response, ok_response, parse_line, plan_response,
@@ -209,30 +210,21 @@ enum Slot {
 /// byte-identically to a build without tracing.
 struct InFlight {
     slot: Slot,
-    /// Inbound distributed trace id (0 = untraced).
-    trace: u64,
-    /// Inbound parent span id (the router's forward span).
-    parent: u64,
-    /// This request's span id: parent of queue/worker/DP spans, echoed
-    /// on traced responses.
-    span: u64,
+    /// The `serve.request` span, open from the line's arrival until the
+    /// response retires: a child of the inbound context (the router's
+    /// forward span), the parent of the queue/worker/DP spans, and its
+    /// id is echoed on traced responses. Dropping the entry closes it.
+    span: Span,
     /// The line carried a trace context → echo it back.
     echo: bool,
-    /// Wall-clock pair for the retire-time request span.
-    started: Instant,
-    started_us: f64,
 }
 
 impl InFlight {
     fn untraced(slot: Slot) -> Self {
         InFlight {
             slot,
-            trace: 0,
-            parent: 0,
-            span: madpipe_obs::fresh_id(),
+            span: Span::detached("serve.request", TraceContext::default()),
             echo: false,
-            started: Instant::now(),
-            started_us: madpipe_obs::now_unix_us(),
         }
     }
 }
@@ -471,9 +463,7 @@ fn oversized_slot(ctx: &Arc<Ctx>) -> Slot {
 /// Parse one request line into its in-flight entry. Everything except a
 /// planning cache miss is answered on the spot.
 fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> InFlight {
-    let started = Instant::now();
-    let started_us = madpipe_obs::now_unix_us();
-    let _span = madpipe_obs::span("serve.request");
+    let mut span = Span::detached("serve.request", TraceContext::default());
     ctx.registry.inc("serve.requests");
     let (req, tctx) = match parse_line(line) {
         Ok(parsed) => parsed,
@@ -482,16 +472,20 @@ fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> InFli
                 "invalid" => "serve.errors.invalid",
                 _ => "serve.errors.malformed",
             });
-            return InFlight::untraced(Slot::Ready(error_response(&err)));
+            let slot = Slot::Ready(error_response(&err));
+            return InFlight {
+                slot,
+                span,
+                echo: false,
+            };
         }
     };
     // The request span: root of this hop's flight spans, child of the
     // inbound context (the router's forward span) when one arrived.
-    let span_id = madpipe_obs::fresh_id();
-    let (trace, parent, echo) = match tctx {
-        Some(c) => (c.trace, c.parent, true),
-        None => (0, 0, false),
-    };
+    if let Some(inbound) = tctx {
+        span.set_parent(inbound);
+    }
+    let request = span.context();
     let slot = match req {
         Request::Ping => Slot::Ready(ok_response("pong", Value::Bool(true))),
         Request::Metrics => {
@@ -511,10 +505,9 @@ fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> InFli
         Request::Plan(plan) => {
             ctx.registry.inc("serve.requests.plan");
             let deadline = Instant::now() + ctx.timeout;
-            Slot::Plan(submit_plan(*plan, deadline, ctx, jobs, trace, span_id))
+            Slot::Plan(submit_plan(*plan, deadline, ctx, jobs, request))
         }
         Request::Replan(replan) => {
-            let _span = madpipe_obs::span("serve.replan");
             ctx.registry.inc("serve.requests.replan");
             ctx.registry
                 .inc(&format!("replan.fault.{}", replan.fault.kind()));
@@ -523,19 +516,15 @@ fn slot_for_line(line: &str, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> InFli
             Slot::Replan(Box::new(ReplanSlot {
                 fault: replan.fault,
                 degraded_platform,
-                baseline: submit_plan(replan.baseline, deadline, ctx, jobs, trace, span_id),
-                degraded: submit_plan(replan.degraded, deadline, ctx, jobs, trace, span_id),
+                baseline: submit_plan(replan.baseline, deadline, ctx, jobs, request),
+                degraded: submit_plan(replan.degraded, deadline, ctx, jobs, request),
             }))
         }
     };
     InFlight {
         slot,
-        trace,
-        parent,
-        span: span_id,
-        echo,
-        started,
-        started_us,
+        span,
+        echo: tctx.is_some(),
     }
 }
 
@@ -575,16 +564,15 @@ fn submit_plan(
     deadline: Instant,
     ctx: &Arc<Ctx>,
     jobs: &Arc<DeadlineQueue>,
-    trace: u64,
-    span: u64,
+    request: TraceContext,
 ) -> PlanWait {
     if let Some(plan) = ctx.cache.get(&req.canonical) {
         ctx.registry.inc("serve.cache.hits");
         madpipe_obs::flight::record_instant(
             "serve.cache.hit",
             madpipe_obs::now_unix_us(),
-            trace,
-            span,
+            request.trace,
+            request.parent,
         );
         return PlanWait::Done(Ok((plan, true)));
     }
@@ -592,8 +580,8 @@ fn submit_plan(
     madpipe_obs::flight::record_instant(
         "serve.cache.miss",
         madpipe_obs::now_unix_us(),
-        trace,
-        span,
+        request.trace,
+        request.parent,
     );
     if ctx.draining() {
         return PlanWait::Done(Err(ServeError::unavailable()));
@@ -610,23 +598,19 @@ fn submit_plan(
         req: Box::new(req),
         deadline,
         reply: reply_tx,
-        trace,
-        span,
-        enqueued: Instant::now(),
+        queued: Span::detached("serve.queue.wait", request),
     };
-    match jobs.try_push(job) {
-        Ok(()) => {
-            ctx.queue_depth.fetch_add(1, Ordering::SeqCst);
-            PlanWait::Pending {
-                rx: reply_rx,
-                deadline,
-            }
+    if jobs.try_push(job) {
+        ctx.queue_depth.fetch_add(1, Ordering::SeqCst);
+        PlanWait::Pending {
+            rx: reply_rx,
+            deadline,
         }
-        Err(_) if ctx.draining() => PlanWait::Done(Err(ServeError::unavailable())),
-        Err(_) => {
-            ctx.registry.inc("serve.rejects");
-            PlanWait::Done(Err(ServeError::overloaded()))
-        }
+    } else if ctx.draining() {
+        PlanWait::Done(Err(ServeError::unavailable()))
+    } else {
+        ctx.registry.inc("serve.rejects");
+        PlanWait::Done(Err(ServeError::overloaded()))
     }
 }
 
@@ -710,21 +694,11 @@ fn retire_slots(conn: &mut Conn, ctx: &Arc<Ctx>) -> bool {
         };
         let done = conn.inflight.pop_front().expect("front just matched");
         let mut response = response;
-        ctx.registry.observe(
-            "serve.request.seconds",
-            done.started.elapsed().as_secs_f64(),
-        );
-        madpipe_obs::flight::record_span(
-            "serve.request",
-            done.started_us,
-            done.started.elapsed().as_secs_f64() * 1e6,
-            done.trace,
-            done.span,
-            done.parent,
-        );
         if done.echo {
-            attach_trace(&mut response, done.trace, done.span);
+            attach_trace(&mut response, done.span.trace(), done.span.id());
         }
+        ctx.registry
+            .observe("serve.request.seconds", done.span.finish());
         conn.write_buf.extend_from_slice(response.as_bytes());
         conn.write_buf.push(b'\n');
         progress = true;
@@ -738,17 +712,9 @@ fn retire_slots(conn: &mut Conn, ctx: &Arc<Ctx>) -> bool {
 /// request — a worker span recorded later must never reference a
 /// request span that was silently discarded.
 fn abandon_inflight(conn: &mut Conn, ctx: &Arc<Ctx>) {
-    for dropped in conn.inflight.drain(..) {
-        ctx.registry.inc("serve.abandoned");
-        madpipe_obs::flight::record_span(
-            "serve.request",
-            dropped.started_us,
-            dropped.started.elapsed().as_secs_f64() * 1e6,
-            dropped.trace,
-            dropped.span,
-            dropped.parent,
-        );
-    }
+    ctx.registry
+        .add("serve.abandoned", conn.inflight.len() as u64);
+    conn.inflight.clear();
 }
 
 fn flush_writes(conn: &mut Conn) -> bool {

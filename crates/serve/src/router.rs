@@ -563,21 +563,10 @@ fn traced_forward(
     let Some(tc) = trace else {
         return forward(line, key, ctx, backends);
     };
-    let span = madpipe_obs::fresh_id();
-    let injected = inject_context(line, tc.trace, span);
+    let span = madpipe_obs::Span::detached("router.forward", tc);
+    let injected = inject_context(line, tc.trace, span.id());
     let relay = injected.as_deref().unwrap_or(line);
-    let started = Instant::now();
-    let started_us = madpipe_obs::now_unix_us();
-    let response = forward(relay, key, ctx, backends);
-    madpipe_obs::flight::record_span(
-        "router.forward",
-        started_us,
-        started.elapsed().as_secs_f64() * 1e6,
-        tc.trace,
-        span,
-        tc.parent,
-    );
-    response
+    forward(relay, key, ctx, backends)
 }
 
 /// Relay the original line to the key's owner, failing over along the

@@ -81,7 +81,7 @@ use std::time::{Duration, Instant};
 
 use madpipe_core::{madpipe_plan_with_session, ProbeSession};
 use madpipe_json::Value;
-use madpipe_obs::Registry;
+use madpipe_obs::{Registry, Span, TraceContext};
 
 use crate::cache::PlanCache;
 use crate::protocol::{plan_to_json, PlanRequest, ServeError};
@@ -175,12 +175,9 @@ pub(crate) struct Job {
     pub(crate) req: Box<PlanRequest>,
     pub(crate) deadline: Instant,
     pub(crate) reply: SyncSender<PlanOutcome>,
-    /// Distributed trace id (0 = untraced request).
-    pub(crate) trace: u64,
-    /// The request span's id — parent of the worker/DP spans.
-    pub(crate) span: u64,
-    /// When the reactor queued the job, for the queue-wait span.
-    pub(crate) enqueued: Instant,
+    /// The `serve.queue.wait` span, opened when the reactor queues the
+    /// job under the request span and closed when a worker takes it.
+    pub(crate) queued: Span,
 }
 
 /// The bounded job queue, ordered earliest-deadline-first (FIFO within
@@ -245,19 +242,20 @@ impl DeadlineQueue {
         }
     }
 
-    /// Enqueue unless the queue is full or closed (the job comes back
-    /// so the caller can answer its client).
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), Job> {
+    /// Enqueue unless the queue is full or closed; `false` means the job
+    /// was turned away (its wait span closes at ~0) and the caller
+    /// answers its client.
+    pub(crate) fn try_push(&self, job: Job) -> bool {
         let mut q = lock_unpoisoned(&self.inner);
         if q.closed || q.heap.len() >= self.capacity {
-            return Err(job);
+            return false;
         }
         let seq = q.seq;
         q.seq += 1;
         q.heap.push(QueuedJob { job, seq });
         drop(q);
         self.avail.notify_one();
-        Ok(())
+        true
     }
 
     /// Block for the earliest-deadline job; `None` once the queue is
@@ -765,23 +763,17 @@ fn worker_loop(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) {
     }
 }
 
-/// Stamp how long a job sat on the queue before a worker picked it up:
-/// the `serve.queue.seconds` histogram plus a `serve.queue.wait` flight
-/// span parented under the request span. The sojourn also feeds the
-/// overload gate — this is the measurement CoDel-style shedding runs on.
-fn record_queue_wait(ctx: &Arc<Ctx>, job: &Job) {
-    let sojourn = job.enqueued.elapsed();
-    ctx.gate.observe(sojourn);
-    let wait = sojourn.as_secs_f64();
+/// Close a job's `serve.queue.wait` span and stamp how long it sat on
+/// the queue into the `serve.queue.seconds` histogram. The sojourn also
+/// feeds the overload gate — this is the measurement CoDel-style
+/// shedding runs on. Returns the request span's context, which the
+/// worker and DP spans hang under.
+fn record_queue_wait(ctx: &Arc<Ctx>, queued: Span) -> TraceContext {
+    let request = queued.parent();
+    let wait = queued.finish();
+    ctx.gate.observe(Duration::from_secs_f64(wait));
     ctx.registry.observe("serve.queue.seconds", wait);
-    madpipe_obs::flight::record_span(
-        "serve.queue.wait",
-        madpipe_obs::now_unix_us() - wait * 1e6,
-        wait * 1e6,
-        job.trace,
-        madpipe_obs::fresh_id(),
-        job.span,
-    );
+    request
 }
 
 /// Render a human-readable panic message from a caught payload.
@@ -807,7 +799,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// is resumed so this worker (and its possibly-poisoned session) tears
 /// down — the supervisor spawns a replacement.
 fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, job: Job, pending: &mut Option<Job>) {
-    record_queue_wait(ctx, &job);
+    let mut request = record_queue_wait(ctx, job.queued);
     if Instant::now() >= job.deadline {
         // Sat in the queue past its deadline; the client already gave
         // up — shed it without burning DP time on a dead request.
@@ -823,7 +815,6 @@ fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, job: Job, pending: 
         canonical,
     } = *job.req;
     let mut reply = job.reply;
-    let (mut trace, mut parent) = (job.trace, job.span);
     // The session must solve under the request's policy spec — a
     // default-built session would (correctly) refuse any non-default
     // request with `PlanError::PolicyMismatch`.
@@ -834,9 +825,10 @@ fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, job: Job, pending: 
         cfg.policy,
     );
     loop {
-        let worker_t0 = Instant::now();
-        let worker_ts = madpipe_obs::now_unix_us();
-        let worker_span = madpipe_obs::fresh_id();
+        // The worker span nests under the request; the DP span, and the
+        // planner's own spans beneath it, nest under the worker.
+        let _request = madpipe_obs::enter(request);
+        let worker = madpipe_obs::span("serve.worker");
         // Re-probe the cache: another worker may have finished the same
         // instance while this job sat in the queue.
         let outcome: PlanOutcome = match ctx.cache.get(&canonical) {
@@ -849,18 +841,8 @@ fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, job: Job, pending: 
                             panic!("chaos marker `{marker}` in chain name");
                         }
                     }
-                    let dp_t0 = Instant::now();
-                    let dp_ts = madpipe_obs::now_unix_us();
-                    let out = madpipe_plan_with_session(&mut session, &cfg);
-                    madpipe_obs::flight::record_span(
-                        "serve.dp",
-                        dp_ts,
-                        dp_t0.elapsed().as_secs_f64() * 1e6,
-                        trace,
-                        madpipe_obs::fresh_id(),
-                        worker_span,
-                    );
-                    out
+                    let _dp = madpipe_obs::span("serve.dp");
+                    madpipe_plan_with_session(&mut session, &cfg)
                 }));
                 let (result, _stats) = match planned {
                     Ok(r) => r,
@@ -877,17 +859,10 @@ fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, job: Job, pending: 
                         madpipe_obs::flight::record_instant(
                             "serve.panic",
                             madpipe_obs::now_unix_us(),
-                            trace,
-                            worker_span,
+                            worker.trace(),
+                            worker.id(),
                         );
-                        madpipe_obs::flight::record_span(
-                            "serve.worker",
-                            worker_ts,
-                            worker_t0.elapsed().as_secs_f64() * 1e6,
-                            trace,
-                            worker_span,
-                            parent,
-                        );
+                        drop(worker);
                         if let Some(path) = &ctx.flight_dump {
                             let _ = madpipe_obs::flight::write_dump(path);
                         }
@@ -921,14 +896,7 @@ fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, job: Job, pending: 
                 }
             }
         };
-        madpipe_obs::flight::record_span(
-            "serve.worker",
-            worker_ts,
-            worker_t0.elapsed().as_secs_f64() * 1e6,
-            trace,
-            worker_span,
-            parent,
-        );
+        drop(worker);
         // The reactor may have timed the slot out and dropped the
         // receiver; the plan still went into the cache, so the retry
         // will hit. The wake gets the response on the wire without
@@ -943,7 +911,7 @@ fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, job: Job, pending: 
                 Some(j) => {
                     ctx.queue_depth.fetch_sub(1, Ordering::SeqCst);
                     if j.req.canonical == canonical {
-                        record_queue_wait(ctx, &j);
+                        let next = record_queue_wait(ctx, j.queued);
                         if Instant::now() >= j.deadline {
                             ctx.registry.inc("serve.shed.expired");
                             let _ = j.reply.try_send(Err(ServeError::timeout()));
@@ -951,7 +919,7 @@ fn serve_instance(ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>, job: Job, pending: 
                             continue;
                         }
                         reply = j.reply;
-                        (trace, parent) = (j.trace, j.span);
+                        request = next;
                         break; // serve it through the warm session
                     }
                     *pending = Some(j);

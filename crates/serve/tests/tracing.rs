@@ -1,7 +1,8 @@
 //! End-to-end distributed tracing through the daemon: traced requests
 //! retire in request order echoing their trace context, and the
 //! always-on flight recorder links every hop's span — request → queue
-//! wait → worker → DP — under the inbound context.
+//! wait → worker → DP → the planner's own phase and DP-solve spans —
+//! under the inbound context.
 //!
 //! Everything lives in one test function: the flight ring is a process
 //! global, and a single drain at the end partitions events by trace id
@@ -77,6 +78,21 @@ fn start_server() -> Server {
         ..ServeConfig::default()
     })
     .expect("bind")
+}
+
+/// Whether `e` sits (transitively) under the span `ancestor`.
+fn descends_from(events: &[FlightEvent], e: &FlightEvent, ancestor: u64) -> bool {
+    let mut parent = e.parent;
+    while parent != 0 {
+        if parent == ancestor {
+            return true;
+        }
+        parent = match events.iter().find(|p| p.span == parent) {
+            Some(p) => p.parent,
+            None => return false,
+        };
+    }
+    false
 }
 
 /// Events of one request's trace with a given name.
@@ -195,6 +211,28 @@ fn traced_requests_retire_in_order_with_linked_spans() {
             assert_eq!(dps.len(), 1, "request {i} ran the DP");
             assert_eq!(dps[0].parent, workers[0].span, "DP nests in the worker");
             assert!(workers[0].dur_us >= dps[0].dur_us, "worker contains the DP");
+
+            // The planner's spans join the request's trace under the DP.
+            let totals = spans_of(&ours, *trace, "plan.total");
+            assert_eq!(totals.len(), 1, "request {i} planned once");
+            assert_eq!(
+                totals[0].parent, dps[0].span,
+                "plan.total nests in serve.dp"
+            );
+            for phase in ["plan.phase1.bisect", "plan.phase2.schedule"] {
+                let phases = spans_of(&ours, *trace, phase);
+                assert!(!phases.is_empty(), "request {i} has a {phase} span");
+                assert!(phases.iter().all(|p| p.parent == totals[0].span));
+            }
+            let solves = spans_of(&ours, *trace, "dp.solve");
+            assert!(!solves.is_empty(), "request {i} ran DP solves");
+            for solve in solves {
+                assert!(
+                    descends_from(&ours, solve, totals[0].span),
+                    "every dp.solve sits under plan.total"
+                );
+                assert_eq!(solve.args()[0].0, "t_hat");
+            }
         } else {
             assert_eq!((misses.len(), hits.len()), (0, 1), "request {i} is warm");
             assert_eq!(hits[0].parent, request.span);
@@ -203,6 +241,7 @@ fn traced_requests_retire_in_order_with_linked_spans() {
                 0,
                 "a submit-time hit never reaches the queue"
             );
+            assert!(spans_of(&ours, *trace, "plan.total").is_empty());
         }
     }
 
@@ -216,11 +255,21 @@ fn traced_requests_retire_in_order_with_linked_spans() {
         .collect();
     let jsonl = madpipe_obs::flight::render_jsonl(&validated);
     let summary = madpipe_obs::validate::validate_trace_text(&jsonl).expect("dump validates");
+    let serve_spans = validated
+        .iter()
+        .filter(|e| e.kind == FlightKind::Span && e.name.starts_with("serve."))
+        .count();
     assert_eq!(
-        summary.spans,
+        serve_spans,
         3 * 4 + 2,
         "3 planned requests x (request, wait, worker, dp) + 2 warm requests x (request)"
     );
+    assert_eq!(
+        summary.linked_spans, summary.spans,
+        "every span carries an id"
+    );
     assert!(summary.span_names.contains("serve.request"));
     assert!(summary.span_names.contains("serve.dp"));
+    assert!(summary.span_names.contains("plan.total"));
+    assert!(summary.span_names.contains("dp.solve"));
 }

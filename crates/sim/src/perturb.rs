@@ -143,7 +143,7 @@ pub fn replay_perturbed_with(
     periods: usize,
     fault: &FaultSpec,
 ) -> SimReport {
-    let mut sp = madpipe_obs::span("sim.perturb");
+    let mut span = madpipe_obs::span("sim.perturb");
     let seq = UnitSequence::from_allocation_with(chain, platform, alloc, policies);
     let t_period = pattern.period;
     let warmup = pattern.max_shift() as usize + 1;
@@ -288,12 +288,10 @@ pub fn replay_perturbed_with(
             break;
         }
     }
-    if let Some(sp) = sp.as_mut() {
-        // Fault cascade size: instances pushed past their planned slot.
-        let overruns = instances.iter().filter(|i| i.start > i.planned).count();
-        sp.arg("instances", instances.len() as f64);
-        sp.arg("overruns", overruns as f64);
-    }
+    // Fault cascade size: instances pushed past their planned slot.
+    let overruns = instances.iter().filter(|i| i.start > i.planned).count();
+    span.arg("instances", instances.len() as f64);
+    span.arg("overruns", overruns as f64);
 
     // Memory + throughput sweep over completions, in (time, creation)
     // order — the same tie-break as the unperturbed replay's event queue.

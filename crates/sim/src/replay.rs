@@ -68,7 +68,7 @@ pub fn replay_with(
     periods: usize,
     mut on_mem: impl FnMut(f64, usize, u64),
 ) -> SimReport {
-    madpipe_obs::span!("sim.replay");
+    let _span = madpipe_obs::span("sim.replay");
     let seq = UnitSequence::from_allocation_with(chain, platform, alloc, policies);
     let t_period = pattern.period;
     let warmup = pattern.max_shift() as usize + 1;
