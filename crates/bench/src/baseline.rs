@@ -1,156 +1,51 @@
-//! Bench baselines: a small fixed grid subset serialized to JSON and
-//! compared against a committed reference, the data path behind CI's
-//! `bench-baseline` gate.
+//! Bench baselines: a small fixed grid subset recorded as
+//! [`SMOKE`](crate::record::SMOKE) records and compared against a
+//! committed reference, the data path behind CI's `bench-baseline` gate.
 //!
 //! The smoke grid is deliberately tiny (two networks × two GPU counts ×
 //! two memory limits at β = 12 GB/s) so the job stays a couple of
 //! minutes; it still crosses the memory-tight/roomy boundary where the
-//! planners differ most. Periods are bit-deterministic, so they gate at
-//! a strict relative tolerance; planning *times* are hostage to the CI
-//! runner, so they gate only at a loose multiple of the baseline (drift
-//! is still reported).
+//! planners differ most.
 
-use std::io;
-use std::path::Path;
-
-use madpipe_json::{FromJson, JsonError, ToJson, Value};
+use madpipe_json::{ToJson, Value};
 use madpipe_model::PolicySpec;
 
 use crate::grid::{Cell, CellResult, GridConfig};
+use crate::record::SMOKE;
 
-/// Format version of `BENCH_*.json` files.
-pub const BASELINE_VERSION: u64 = 1;
-
-/// One grid cell's baseline metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineRecord {
-    pub network: String,
-    pub p: usize,
-    pub m_gb: u64,
-    pub beta_gb: f64,
-    /// Stage-policy axis the cell planned under. Defaults to the paper's
-    /// model; serialized only when non-default, so default-policy
-    /// records keep the original JSON shape.
-    pub policy: PolicySpec,
-    /// MadPipe achieved period (seconds; `None` = infeasible).
-    pub madpipe: Option<f64>,
-    /// PipeDream achieved period.
-    pub pipedream: Option<f64>,
-    /// Wall-clock planning seconds (both planners).
-    pub planning_seconds: f64,
-    /// Differential certification verdict of the MadPipe plan.
-    pub certified: Option<bool>,
-    /// Jitter robustness margin of the certified plan.
-    pub jitter_margin: Option<f64>,
-    /// Full planner stats payload (`PlannerStats::to_json`). Optional so
-    /// version-1 baselines written before this field existed still parse;
-    /// informational only — [`compare_baselines`] never gates on it.
-    pub stats: Option<Value>,
+/// The key fields of `cell`: network, `P`, `M`, `β`, and the policy
+/// only when non-default, so default-policy records keep the original
+/// JSON shape.
+fn cell_fields(cell: &Cell) -> Vec<(String, Value)> {
+    let mut fields = vec![
+        ("network".into(), Value::Str(cell.network.clone())),
+        ("p".into(), Value::UInt(cell.p as u64)),
+        ("m_gb".into(), Value::UInt(cell.m_gb)),
+        ("beta_gb".into(), Value::Float(cell.beta_gb)),
+    ];
+    if !cell.policy.is_default() {
+        fields.push(("policy".into(), cell.policy.to_json()));
+    }
+    fields
 }
 
-impl BaselineRecord {
-    /// Identity of the cell this record measures.
-    pub fn key(&self) -> (String, usize, u64, u64, PolicySpec) {
+/// One cell's [`SMOKE`] record: periods (`null` = infeasible), planning
+/// seconds (both planners), the certification verdict and jitter margin
+/// of the MadPipe plan. Planner stats stay out: they never gate, and
+/// `bench-baseline --stats-json` writes them.
+pub fn smoke_record(r: &CellResult) -> Value {
+    let mut fields = cell_fields(&r.cell);
+    fields.extend([
+        ("madpipe".into(), r.madpipe.to_json()),
+        ("pipedream".into(), r.pipedream.to_json()),
+        ("planning_seconds".into(), Value::Float(r.planning_seconds)),
         (
-            self.network.clone(),
-            self.p,
-            self.m_gb,
-            self.beta_gb.to_bits(),
-            self.policy,
-        )
-    }
-
-    fn opt_f64(v: Option<f64>) -> Value {
-        match v {
-            Some(x) => Value::Float(x),
-            None => Value::Null,
-        }
-    }
-
-    fn read_opt_f64(v: &Value, key: &str) -> Result<Option<f64>, JsonError> {
-        match v.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(x) => x.as_f64().map(Some),
-        }
-    }
-
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("network".into(), Value::Str(self.network.clone())),
-            ("p".into(), Value::UInt(self.p as u64)),
-            ("m_gb".into(), Value::UInt(self.m_gb)),
-            ("beta_gb".into(), Value::Float(self.beta_gb)),
-            ("madpipe".into(), Self::opt_f64(self.madpipe)),
-            ("pipedream".into(), Self::opt_f64(self.pipedream)),
-            (
-                "planning_seconds".into(),
-                Value::Float(self.planning_seconds),
-            ),
-            (
-                "certified".into(),
-                match self.certified {
-                    Some(c) => Value::Bool(c),
-                    None => Value::Null,
-                },
-            ),
-            ("jitter_margin".into(), Self::opt_f64(self.jitter_margin)),
-        ];
-        if !self.policy.is_default() {
-            fields.push(("policy".into(), self.policy.to_json()));
-        }
-        if let Some(stats) = &self.stats {
-            fields.push(("stats".into(), stats.clone()));
-        }
-        Value::Object(fields)
-    }
-
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(Self {
-            network: v.field("network")?.as_str()?.to_string(),
-            p: v.field("p")?.as_u64()? as usize,
-            m_gb: v.field("m_gb")?.as_u64()?,
-            beta_gb: v.field("beta_gb")?.as_f64()?,
-            madpipe: Self::read_opt_f64(v, "madpipe")?,
-            pipedream: Self::read_opt_f64(v, "pipedream")?,
-            planning_seconds: v.field("planning_seconds")?.as_f64()?,
-            certified: match v.get("certified") {
-                None | Some(Value::Null) => None,
-                Some(Value::Bool(b)) => Some(*b),
-                Some(other) => {
-                    return Err(JsonError::new(format!(
-                        "field `certified` must be a bool or null, got {other:?}"
-                    )))
-                }
-            },
-            jitter_margin: Self::read_opt_f64(v, "jitter_margin")?,
-            policy: match v.get("policy") {
-                None | Some(Value::Null) => PolicySpec::default(),
-                Some(p) => PolicySpec::from_json(p)?,
-            },
-            stats: match v.get("stats") {
-                None | Some(Value::Null) => None,
-                Some(s) => Some(s.clone()),
-            },
-        })
-    }
-}
-
-impl From<&CellResult> for BaselineRecord {
-    fn from(r: &CellResult) -> Self {
-        Self {
-            network: r.cell.network.clone(),
-            p: r.cell.p,
-            m_gb: r.cell.m_gb,
-            beta_gb: r.cell.beta_gb,
-            policy: r.cell.policy,
-            madpipe: r.madpipe,
-            pipedream: r.pipedream,
-            planning_seconds: r.planning_seconds,
-            certified: r.certified,
-            jitter_margin: r.jitter_margin,
-            stats: Some(r.stats.to_json()),
-        }
-    }
+            "certified".into(),
+            r.certified.map_or(Value::Null, Value::Bool),
+        ),
+        ("jitter_margin".into(), r.jitter_margin.to_json()),
+    ]);
+    Value::Object(fields)
 }
 
 /// The fixed smoke subset CI measures: ResNet-50 and Inception-v3 on
@@ -199,177 +94,35 @@ pub fn smoke_cells() -> Vec<Cell> {
 /// Check the tight-memory policy flip on a finished run: the default
 /// cell must be infeasible and its policy twin must plan *and* certify.
 /// Returns human-readable violations (empty = the flip holds).
-pub fn tight_cell_flip_violations(records: &[BaselineRecord]) -> Vec<String> {
+pub fn tight_cell_flip_violations(records: &[Value]) -> Vec<String> {
     let mut violations = Vec::new();
     for cell in tight_cells() {
-        let Some(r) = records.iter().find(|r| {
-            r.network == cell.network
-                && r.p == cell.p
-                && r.m_gb == cell.m_gb
-                && r.beta_gb.to_bits() == cell.beta_gb.to_bits()
-                && r.policy == cell.policy
-        }) else {
+        let key = SMOKE.key_of(&Value::Object(cell_fields(&cell)));
+        let Some(r) = records.iter().find(|r| SMOKE.key_of(r) == key) else {
             violations.push(format!(
                 "{}: tight cell missing from the run",
                 cell.describe()
             ));
             continue;
         };
+        let planned = !matches!(r.get("madpipe"), None | Some(Value::Null));
         if cell.policy.is_default() {
-            if r.madpipe.is_some() {
+            if planned {
                 violations.push(format!(
                     "{}: expected Infeasible under the default policy, got a plan",
                     cell.describe()
                 ));
             }
-        } else {
-            if r.madpipe.is_none() {
-                violations.push(format!(
-                    "{}: expected a feasible plan under the policy axis",
-                    cell.describe()
-                ));
-            }
-            if r.madpipe.is_some() && r.certified != Some(true) {
-                violations.push(format!(
-                    "{}: the flipped plan must certify (got {:?})",
-                    cell.describe(),
-                    r.certified
-                ));
-            }
-        }
-    }
-    violations
-}
-
-/// Serialize `records` as a `BENCH_*.json` document.
-pub fn render(records: &[BaselineRecord]) -> String {
-    let doc = Value::Object(vec![
-        ("version".into(), Value::UInt(BASELINE_VERSION)),
-        (
-            "records".into(),
-            Value::Array(records.iter().map(|r| r.to_json()).collect()),
-        ),
-    ]);
-    doc.to_string_pretty()
-}
-
-/// Write `records` to `path`.
-pub fn save(records: &[BaselineRecord], path: impl AsRef<Path>) -> io::Result<()> {
-    std::fs::write(path, render(records))
-}
-
-/// Load a `BENCH_*.json` document.
-pub fn load(path: impl AsRef<Path>) -> Result<Vec<BaselineRecord>, String> {
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("reading {}: {e}", path.as_ref().display()))?;
-    parse(&text).map_err(|e| format!("parsing {}: {e}", path.as_ref().display()))
-}
-
-/// Parse a `BENCH_*.json` document from text.
-pub fn parse(text: &str) -> Result<Vec<BaselineRecord>, JsonError> {
-    let doc = Value::parse(text)?;
-    let version = doc.field("version")?.as_u64()?;
-    if version != BASELINE_VERSION {
-        return Err(JsonError::new(format!(
-            "baseline version {version} (this build reads {BASELINE_VERSION})"
-        )));
-    }
-    doc.field("records")?
-        .as_array()?
-        .iter()
-        .map(BaselineRecord::from_json)
-        .collect()
-}
-
-/// Compare `current` against `baseline`.
-///
-/// Violations (returned as human-readable lines, empty = pass):
-/// * a cell present in one set but not the other;
-/// * feasibility flips (a planner that planned in the baseline fails
-///   now, or vice versa);
-/// * a period drifting more than `period_tol` (relative) from baseline;
-/// * a certification regression (baseline certified, current not);
-/// * planning time exceeding `time_factor ×` the baseline (timing noise
-///   below that threshold is tolerated — CI runners vary).
-pub fn compare_baselines(
-    current: &[BaselineRecord],
-    baseline: &[BaselineRecord],
-    period_tol: f64,
-    time_factor: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    let describe = |r: &BaselineRecord| {
-        let mut s = format!(
-            "{} P={} M={}GB beta={}GB/s",
-            r.network, r.p, r.m_gb, r.beta_gb
-        );
-        if !r.policy.is_default() {
-            s.push_str(&format!(
-                " policy={}/{}",
-                r.policy.recompute.as_str(),
-                r.policy.weights.as_str()
-            ));
-        }
-        s
-    };
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.key() == base.key()) else {
-            violations.push(format!("{}: missing from the current run", describe(base)));
-            continue;
-        };
-        for (label, b, c) in [
-            ("madpipe", base.madpipe, cur.madpipe),
-            ("pipedream", base.pipedream, cur.pipedream),
-        ] {
-            match (b, c) {
-                (Some(bp), Some(cp)) => {
-                    let drift = (cp - bp).abs() / bp;
-                    if drift > period_tol {
-                        violations.push(format!(
-                            "{}: {label} period {:.3} ms drifted {:.1}% from baseline {:.3} ms \
-                             (tolerance {:.0}%)",
-                            describe(base),
-                            cp * 1e3,
-                            drift * 100.0,
-                            bp * 1e3,
-                            period_tol * 100.0
-                        ));
-                    }
-                }
-                (Some(_), None) => violations.push(format!(
-                    "{}: {label} planned in the baseline but is now infeasible",
-                    describe(base)
-                )),
-                (None, Some(_)) => violations.push(format!(
-                    "{}: {label} was infeasible in the baseline but now plans \
-                     (refresh the baseline)",
-                    describe(base)
-                )),
-                (None, None) => {}
-            }
-        }
-        if base.certified == Some(true) && cur.certified != Some(true) {
+        } else if !planned {
             violations.push(format!(
-                "{}: certification regressed ({:?} from certified baseline)",
-                describe(base),
-                cur.certified
+                "{}: expected a feasible plan under the policy axis",
+                cell.describe()
             ));
-        }
-        if base.planning_seconds > 0.0 && cur.planning_seconds > base.planning_seconds * time_factor
-        {
+        } else if r.get("certified") != Some(&Value::Bool(true)) {
             violations.push(format!(
-                "{}: planning took {:.2} s vs baseline {:.2} s (> {time_factor}x)",
-                describe(base),
-                cur.planning_seconds,
-                base.planning_seconds
-            ));
-        }
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.key() == cur.key()) {
-            violations.push(format!(
-                "{}: not in the baseline (refresh it)",
-                describe(cur)
+                "{}: the flipped plan must certify (got {:?})",
+                cell.describe(),
+                r.get("certified")
             ));
         }
     }
@@ -379,20 +132,37 @@ pub fn compare_baselines(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{compare, parse, render};
 
-    fn record(network: &str, m: u64, madpipe: Option<f64>) -> BaselineRecord {
-        BaselineRecord {
+    fn record(network: &str, m: u64, madpipe: Option<f64>) -> Value {
+        let cell = Cell {
             network: network.into(),
             p: 4,
             m_gb: m,
             beta_gb: 12.0,
             policy: PolicySpec::default(),
+        };
+        smoke_record(&CellResult {
+            cell,
+            sequential: 1.0,
+            madpipe_estimate: madpipe,
             madpipe,
+            pipedream_estimate: madpipe.map(|x| x * 1.2),
             pipedream: madpipe.map(|x| x * 1.2),
             planning_seconds: 0.5,
+            stats: Default::default(),
             certified: madpipe.map(|_| true),
             jitter_margin: madpipe.map(|_| 0.11),
-            stats: None,
+        })
+    }
+
+    fn set(r: &mut Value, field: &str, v: Value) {
+        let Value::Object(fields) = r else {
+            unreachable!("records are objects")
+        };
+        match fields.iter_mut().find(|(k, _)| k == field) {
+            Some(slot) => slot.1 = v,
+            None => fields.push((field.into(), v)),
         }
     }
 
@@ -402,52 +172,52 @@ mod tests {
             record("resnet50", 6, Some(0.1037)),
             record("resnet50", 3, None),
         ];
-        let parsed = parse(&render(&records)).unwrap();
+        let parsed = parse(&render(&records), &SMOKE).unwrap();
         assert_eq!(parsed, records);
     }
 
     #[test]
     fn stats_payload_round_trips_and_stays_optional() {
+        // Older baselines embedded a `stats` payload per record: it still
+        // parses and round-trips, and it never gates.
         let mut with = record("resnet50", 6, Some(0.1));
-        with.stats = Some(madpipe_core::PlannerStats::default().to_json());
+        set(
+            &mut with,
+            "stats",
+            madpipe_core::PlannerStats::default().to_json(),
+        );
         let records = vec![with, record("resnet50", 3, None)];
-        let parsed = parse(&render(&records)).unwrap();
+        let parsed = parse(&render(&records), &SMOKE).unwrap();
         assert_eq!(parsed, records);
-        // The stats payload never gates.
-        assert!(compare_baselines(&parsed, &records, 0.10, 5.0).is_empty());
-        let stripped: Vec<BaselineRecord> = records
-            .iter()
-            .cloned()
-            .map(|mut r| {
-                r.stats = None;
-                r
-            })
-            .collect();
-        assert!(compare_baselines(&stripped, &records, 0.10, 5.0).is_empty());
+        let stripped = vec![
+            record("resnet50", 6, Some(0.1)),
+            record("resnet50", 3, None),
+        ];
+        assert!(compare(&stripped, &records, &SMOKE).is_empty());
+        assert!(!render(&stripped).contains("stats"));
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let text = "{\"version\": 99, \"records\": []}";
-        assert!(parse(text).is_err());
+        assert!(parse("{\"version\": 99, \"records\": []}", &SMOKE).is_err());
     }
 
     #[test]
     fn identical_runs_pass() {
         let records = vec![record("resnet50", 6, Some(0.1))];
-        assert!(compare_baselines(&records, &records, 0.10, 5.0).is_empty());
+        assert!(compare(&records, &records, &SMOKE).is_empty());
     }
 
     #[test]
     fn period_drift_beyond_tolerance_is_flagged() {
         let base = vec![record("resnet50", 6, Some(0.100))];
         let mut cur = base.clone();
-        cur[0].madpipe = Some(0.108); // +8% < 10%: fine
-        assert!(compare_baselines(&cur, &base, 0.10, 5.0).is_empty());
-        cur[0].madpipe = Some(0.115); // +15% > 10%: violation
-        let v = compare_baselines(&cur, &base, 0.10, 5.0);
+        set(&mut cur[0], "madpipe", Value::Float(0.108)); // +8% < 10%: fine
+        assert!(compare(&cur, &base, &SMOKE).is_empty());
+        set(&mut cur[0], "madpipe", Value::Float(0.115)); // +15% > 10%: violation
+        let v = compare(&cur, &base, &SMOKE);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("madpipe period"));
+        assert!(v[0].contains("madpipe 0.115 drifted"), "{v:?}");
     }
 
     #[test]
@@ -456,24 +226,29 @@ mod tests {
             record("resnet50", 6, Some(0.1)),
             record("resnet50", 3, None),
         ];
-        let mut cur = vec![record("resnet50", 6, None)];
-        cur[0].certified = None;
-        let v = compare_baselines(&cur, &base, 0.10, 5.0);
-        assert!(v.iter().any(|x| x.contains("now infeasible")));
+        let cur = vec![record("resnet50", 6, None)];
+        let v = compare(&cur, &base, &SMOKE);
+        assert!(v.iter().any(|x| x.contains("now infeasible")), "{v:?}");
         assert!(v.iter().any(|x| x.contains("missing from the current run")));
-        assert!(v.iter().any(|x| x.contains("certification regressed")));
+        assert!(v.iter().any(|x| x.contains("certified regressed")));
+        // And the other way: an infeasible cell that now plans.
+        let v = compare(&[record("resnet50", 3, Some(0.1))], &base[1..], &SMOKE);
+        assert!(v.iter().any(|x| x.contains("now plans")), "{v:?}");
     }
 
     #[test]
     fn slow_planning_is_flagged_only_beyond_the_factor() {
         let base = vec![record("resnet50", 6, Some(0.1))];
         let mut cur = base.clone();
-        cur[0].planning_seconds = 2.0; // 4x baseline < 5x: fine
-        assert!(compare_baselines(&cur, &base, 0.10, 5.0).is_empty());
-        cur[0].planning_seconds = 3.0; // 6x: violation
-        let v = compare_baselines(&cur, &base, 0.10, 5.0);
+        set(&mut cur[0], "planning_seconds", Value::Float(2.0)); // 4x < 5x: fine
+        assert!(compare(&cur, &base, &SMOKE).is_empty());
+        set(&mut cur[0], "planning_seconds", Value::Float(3.0)); // 6x: violation
+        let v = compare(&cur, &base, &SMOKE);
         assert_eq!(v.len(), 1);
-        assert!(v[0].contains("planning took"));
+        assert!(
+            v[0].contains("planning_seconds 3.000 over the limit"),
+            "{v:?}"
+        );
     }
 
     #[test]
@@ -493,21 +268,21 @@ mod tests {
     #[test]
     fn policy_records_round_trip_and_key_separately() {
         let mut flipped = record("mlp12", 2, Some(0.004));
-        flipped.policy = PolicySpec {
+        let policy = PolicySpec {
             recompute: madpipe_model::RecomputeMode::Auto,
             weights: madpipe_model::WeightPolicy::TwoBw,
         };
+        set(&mut flipped, "policy", policy.to_json());
         let records = vec![record("mlp12", 2, None), flipped.clone()];
-        let parsed = parse(&render(&records)).unwrap();
+        let parsed = parse(&render(&records), &SMOKE).unwrap();
         assert_eq!(parsed, records);
         // Same platform point, different policy: distinct cells.
-        assert_ne!(parsed[0].key(), parsed[1].key());
+        assert_ne!(SMOKE.key_of(&parsed[0]), SMOKE.key_of(&parsed[1]));
         // Default-policy records keep the original JSON shape.
         assert!(!record("resnet50", 6, Some(0.1))
-            .to_json()
             .to_string_compact()
             .contains("policy"));
-        assert!(flipped.to_json().to_string_compact().contains("policy"));
+        assert!(flipped.to_string_compact().contains("policy"));
     }
 
     #[test]
@@ -515,8 +290,10 @@ mod tests {
         let tight = tight_cells();
         let as_record = |cell: &Cell, madpipe: Option<f64>| {
             let mut r = record(&cell.network, cell.m_gb, madpipe);
-            r.p = cell.p;
-            r.policy = cell.policy;
+            set(&mut r, "p", Value::UInt(cell.p as u64));
+            if !cell.policy.is_default() {
+                set(&mut r, "policy", cell.policy.to_json());
+            }
             r
         };
         // The expected outcome: default infeasible, policy certified.
@@ -535,7 +312,7 @@ mod tests {
         let bad = vec![as_record(&tight[0], None), as_record(&tight[1], None)];
         assert!(!tight_cell_flip_violations(&bad).is_empty());
         let mut uncert = as_record(&tight[1], Some(0.0037));
-        uncert.certified = Some(false);
+        set(&mut uncert, "certified", Value::Bool(false));
         let bad = vec![as_record(&tight[0], None), uncert];
         assert!(!tight_cell_flip_violations(&bad).is_empty());
         // Missing cells are flagged.

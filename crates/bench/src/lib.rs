@@ -17,9 +17,10 @@ pub mod grid;
 pub mod loadgen;
 pub mod parallel;
 pub mod plan_speed;
+pub mod record;
 pub mod summary;
 
-pub use baseline::{compare_baselines, smoke_grid, BaselineRecord};
+pub use baseline::smoke_grid;
 pub use grid::{chains_for, paper_chains, run_cell, Cell, CellResult, GridConfig};
 pub use parallel::run_cells;
-pub use plan_speed::{compare_plan_speed, plan_speed_grid, run_plan_speed, PlanSpeedRecord};
+pub use plan_speed::{plan_speed_grid, run_plan_speed, PlanSpeedRecord};

@@ -43,6 +43,8 @@ use std::time::{Duration, Instant};
 use madpipe_json::{ToJson, Value};
 use madpipe_model::Platform;
 
+use crate::record::{self, SERVE_SPEED};
+
 const GIB: u64 = 1 << 30;
 
 /// Load profile.
@@ -537,81 +539,23 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     Ok(report)
 }
 
-/// Committed serve-throughput baseline — the `BENCH_serve_speed.json`
-/// file CI gates on. The floor a run must clear is
-/// `max(abs_grace_rps, rps * rel_factor)`: relative to the committed
-/// measurement so real regressions trip it, with an absolute grace so a
-/// slow shared CI runner doesn't.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeSpeedBaseline {
-    /// Committed throughput of the reference run, requests per second.
-    pub rps: f64,
-    /// Fraction of `rps` a run must reach (e.g. 0.05 = 5%).
-    pub rel_factor: f64,
-    /// Absolute floor that always applies, requests per second.
-    pub abs_grace_rps: f64,
-}
-
-impl ServeSpeedBaseline {
-    /// Parse the committed JSON, e.g.
-    /// `{"rps": 9000.0, "rel_factor": 0.05, "abs_grace_rps": 150.0}`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let v = Value::parse(text.trim()).map_err(|e| format!("baseline JSON: {e}"))?;
-        let field = |name: &str| -> Result<f64, String> {
-            let x = v
-                .field(name)
-                .and_then(Value::as_f64)
-                .map_err(|e| format!("baseline field {name}: {e}"))?;
-            if x.is_finite() && x >= 0.0 {
-                Ok(x)
-            } else {
-                Err(format!(
-                    "baseline field {name}: not a finite non-negative number"
-                ))
-            }
-        };
-        Ok(Self {
-            rps: field("rps")?,
-            rel_factor: field("rel_factor")?,
-            abs_grace_rps: field("abs_grace_rps")?,
-        })
-    }
-
-    /// Load and parse the committed baseline file.
-    pub fn load(path: &str) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        Self::parse(&text)
-    }
-
-    /// The throughput a run must reach, requests per second.
-    pub fn floor(&self) -> f64 {
-        (self.rps * self.rel_factor).max(self.abs_grace_rps)
-    }
-
-    /// Gate a report against the floor. `Ok` carries a human-readable
-    /// verdict line; `Err` the failure message. Both record the run's
-    /// outcome breakdown, so a floor pass that leaned on shed or
-    /// timed-out responses is visible in the gate's own output.
-    pub fn check(&self, report: &LoadgenReport) -> Result<String, String> {
-        let got = report.throughput();
-        let floor = self.floor();
-        let split = format!(
-            "[ok {} | cache_hit {} | shed {} | timeout {} | error {}]",
-            report.ok, report.cached, report.shed, report.timeouts, report.errors
-        );
-        if got >= floor {
-            Ok(format!(
-                "throughput floor ok: {got:.1} req/s >= {floor:.1} req/s \
-                 (baseline {:.1} x {:.2}, grace {:.1}) {split}",
-                self.rps, self.rel_factor, self.abs_grace_rps
-            ))
-        } else {
-            Err(format!(
-                "throughput {got:.1} req/s below the floor {floor:.1} req/s \
-                 (baseline {:.1} x {:.2}, grace {:.1}) {split}",
-                self.rps, self.rel_factor, self.abs_grace_rps
-            ))
-        }
+/// Gate a run's throughput against the committed
+/// `BENCH_serve_speed.json` records under [`SERVE_SPEED`]. `Ok` carries
+/// a human-readable verdict line; `Err` the failure message. Both record
+/// the run's outcome breakdown, so a floor pass that leaned on shed or
+/// timed-out responses is visible in the gate's own output.
+pub fn check_floor(report: &LoadgenReport, committed: &[Value]) -> Result<String, String> {
+    let got = report.throughput();
+    let split = format!(
+        "[ok {} | cache_hit {} | shed {} | timeout {} | error {}]",
+        report.ok, report.cached, report.shed, report.timeouts, report.errors
+    );
+    let current = Value::Object(vec![("rps".into(), Value::Float(got))]);
+    let violations = record::compare(&[current], committed, &SERVE_SPEED);
+    if violations.is_empty() {
+        Ok(format!("throughput floor ok: {got:.1} req/s {split}"))
+    } else {
+        Err(format!("{} {split}", violations.join("; ")))
     }
 }
 
@@ -924,39 +868,35 @@ mod tests {
 
     #[test]
     fn speed_baseline_parses_and_gates() {
-        let base =
-            ServeSpeedBaseline::parse(r#"{"rps": 1000.0, "rel_factor": 0.1, "abs_grace_rps": 50}"#)
-                .unwrap();
-        assert_eq!(base.floor(), 100.0, "relative term dominates");
-        let grace = ServeSpeedBaseline {
-            rps: 100.0,
-            ..base.clone()
-        };
-        assert_eq!(
-            grace.floor(),
-            50.0,
-            "absolute grace dominates a tiny baseline"
-        );
-
+        let committed = record::parse(
+            r#"{"version": 1, "comment": "c", "records": [{"rps": 19500.0}]}"#,
+            &SERVE_SPEED,
+        )
+        .unwrap();
         let fast = LoadgenReport {
+            total: 2000,
+            request_seconds: 5.0,
+            ..LoadgenReport::default()
+        };
+        assert!(check_floor(&fast, &committed).unwrap().contains("floor ok"));
+        let slow = LoadgenReport {
             total: 1000,
             request_seconds: 5.0,
             ..LoadgenReport::default()
         };
-        assert!(base.check(&fast).unwrap().contains("floor ok"));
-        let slow = LoadgenReport {
-            total: 100,
-            request_seconds: 5.0,
-            ..LoadgenReport::default()
-        };
-        let err = base.check(&slow).unwrap_err();
-        assert!(err.contains("below the floor"), "{err}");
+        let err = check_floor(&slow, &committed).unwrap_err();
+        assert!(err.contains("rps 200.0 below the floor 390.0"), "{err}");
 
-        assert!(ServeSpeedBaseline::parse("{}").is_err(), "missing fields");
+        let doc = |r: &str| format!(r#"{{"version": 1, "records": [{r}]}}"#);
         assert!(
-            ServeSpeedBaseline::parse(r#"{"rps": -1, "rel_factor": 0.1, "abs_grace_rps": 0}"#)
-                .is_err(),
+            record::parse(&doc("{}"), &SERVE_SPEED).is_err(),
+            "missing rps"
+        );
+        assert!(
+            record::parse(&doc(r#"{"rps": -1}"#), &SERVE_SPEED).is_err(),
             "negative rps rejected"
         );
+        // An empty baseline gates nothing, so it fails.
+        assert!(check_floor(&fast, &[]).is_err());
     }
 }

@@ -1,36 +1,26 @@
 //! Plan-speed benchmark: MadPipe planning time over the fig6 grid,
-//! serialized to JSON and gated against a committed reference — the data
-//! path behind CI's `bench-plan-speed` job.
+//! recorded as [`PLAN_SPEED`] records and gated against a committed
+//! reference — the data path behind CI's `bench-plan-speed` job.
 //!
-//! Two properties gate, with very different tolerances:
-//!
-//! * **Periods gate bit-for-bit.** The planner is deterministic, so the
-//!   achieved period of every cell is stored as raw IEEE-754 bits and
-//!   compared exactly. Any drift — even 1 ulp — means the solver changed
-//!   behaviour, not just speed, and the baseline must be refreshed
-//!   deliberately.
-//! * **Times gate loosely.** What is measured is the *DP portion* of
-//!   planning (phase 1 bisection + contiguous fallback + refinement),
-//!   because that is what the dense memo / branch-and-bound work
-//!   accelerates; phase-2 scheduling is untouched by it and would dilute
-//!   the signal. Wall time is hostage to the CI runner, so the gate only
-//!   fails beyond a multiple of the baseline (default 1.25×), and the
-//!   per-cell number is a median over repeats.
+//! Periods gate bit for bit, stored as raw IEEE-754 bits so the JSON
+//! round trip and the gate are exact by construction. Time gates on the
+//! *DP portion* of planning (phase 1 bisection + contiguous fallback +
+//! refinement), because that is what the dense memo / branch-and-bound
+//! work accelerates; phase-2 scheduling is untouched by it and would
+//! dilute the signal. The per-cell numbers are medians over repeats.
 
-use std::io;
 use std::path::Path;
 use std::time::Instant;
 
 use madpipe_core::{madpipe_plan_with_stats, PlannerConfig};
-use madpipe_json::{JsonError, Value};
+use madpipe_json::{JsonError, ToJson, Value};
 use madpipe_model::Platform;
 
 use crate::grid::{paper_chains, GridConfig};
+use crate::record::{self, PLAN_SPEED};
 
-/// Format version of `BENCH_plan_speed.json`.
-pub const PLAN_SPEED_VERSION: u64 = 1;
-
-/// One cell's plan-speed measurement.
+/// One cell's plan-speed measurement: a typed view of a [`PLAN_SPEED`]
+/// record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanSpeedRecord {
     pub network: String,
@@ -44,8 +34,6 @@ pub struct PlanSpeedRecord {
     /// phase-2 scheduler; informational, not gated).
     pub total_seconds: f64,
     /// Raw IEEE-754 bits of the achieved period (`None` = infeasible).
-    /// Stored as bits, not a float, so the JSON round trip and the gate
-    /// are exact by construction.
     pub period_bits: Option<u64>,
 }
 
@@ -65,6 +53,20 @@ impl PlanSpeedRecord {
         self.period_bits.map(f64::from_bits)
     }
 
+    fn from_record(v: &Value) -> Result<Self, JsonError> {
+        Ok(Self {
+            network: v.field("network")?.as_str()?.to_string(),
+            p: v.field("p")?.as_u64()? as usize,
+            m_gb: v.field("m_gb")?.as_u64()?,
+            beta_gb: v.field("beta_gb")?.as_f64()?,
+            dp_seconds: v.field("dp_seconds")?.as_f64()?,
+            total_seconds: v.field("total_seconds")?.as_f64()?,
+            period_bits: v.field("period_bits")?.as_u64().ok(),
+        })
+    }
+}
+
+impl ToJson for PlanSpeedRecord {
     fn to_json(&self) -> Value {
         Value::Object(vec![
             ("network".into(), Value::Str(self.network.clone())),
@@ -73,30 +75,18 @@ impl PlanSpeedRecord {
             ("beta_gb".into(), Value::Float(self.beta_gb)),
             ("dp_seconds".into(), Value::Float(self.dp_seconds)),
             ("total_seconds".into(), Value::Float(self.total_seconds)),
-            (
-                "period_bits".into(),
-                match self.period_bits {
-                    Some(b) => Value::UInt(b),
-                    None => Value::Null,
-                },
-            ),
+            ("period_bits".into(), self.period_bits.to_json()),
         ])
     }
+}
 
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(Self {
-            network: v.field("network")?.as_str()?.to_string(),
-            p: v.field("p")?.as_u64()? as usize,
-            m_gb: v.field("m_gb")?.as_u64()?,
-            beta_gb: v.field("beta_gb")?.as_f64()?,
-            dp_seconds: v.field("dp_seconds")?.as_f64()?,
-            total_seconds: v.field("total_seconds")?.as_f64()?,
-            period_bits: match v.get("period_bits") {
-                None | Some(Value::Null) => None,
-                Some(b) => Some(b.as_u64()?),
-            },
-        })
-    }
+/// Load a `BENCH_plan_speed.json` document.
+pub fn load(path: impl AsRef<Path>) -> Result<Vec<PlanSpeedRecord>, String> {
+    record::load(&path, &PLAN_SPEED)?
+        .iter()
+        .map(PlanSpeedRecord::from_record)
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("parsing {}: {e}", path.as_ref().display()))
 }
 
 /// The measured grid: ResNet-50 over the quick-grid pattern
@@ -171,110 +161,10 @@ fn median(values: &mut [f64]) -> f64 {
     }
 }
 
-/// Serialize `records` as a `BENCH_plan_speed.json` document.
-pub fn render(records: &[PlanSpeedRecord]) -> String {
-    let doc = Value::Object(vec![
-        ("version".into(), Value::UInt(PLAN_SPEED_VERSION)),
-        (
-            "records".into(),
-            Value::Array(records.iter().map(|r| r.to_json()).collect()),
-        ),
-    ]);
-    doc.to_string_pretty()
-}
-
-/// Write `records` to `path`.
-pub fn save(records: &[PlanSpeedRecord], path: impl AsRef<Path>) -> io::Result<()> {
-    std::fs::write(path, render(records))
-}
-
-/// Load a `BENCH_plan_speed.json` document.
-pub fn load(path: impl AsRef<Path>) -> Result<Vec<PlanSpeedRecord>, String> {
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("reading {}: {e}", path.as_ref().display()))?;
-    parse(&text).map_err(|e| format!("parsing {}: {e}", path.as_ref().display()))
-}
-
-/// Parse a `BENCH_plan_speed.json` document from text.
-pub fn parse(text: &str) -> Result<Vec<PlanSpeedRecord>, JsonError> {
-    let doc = Value::parse(text)?;
-    let version = doc.field("version")?.as_u64()?;
-    if version != PLAN_SPEED_VERSION {
-        return Err(JsonError::new(format!(
-            "plan-speed baseline version {version} (this build reads {PLAN_SPEED_VERSION})"
-        )));
-    }
-    doc.field("records")?
-        .as_array()?
-        .iter()
-        .map(PlanSpeedRecord::from_json)
-        .collect()
-}
-
-/// Compare `current` against `baseline`.
-///
-/// Violations (returned as human-readable lines, empty = pass):
-/// * a cell present in one set but not the other;
-/// * a period differing from the baseline **in any bit** (including
-///   feasible/infeasible flips) — the solver changed behaviour;
-/// * the DP time exceeding `time_factor ×` the baseline plus a 10 ms
-///   absolute grace — the fastest cells finish in ~10 ms, where
-///   scheduler jitter alone exceeds any sane relative factor.
-pub fn compare_plan_speed(
-    current: &[PlanSpeedRecord],
-    baseline: &[PlanSpeedRecord],
-    time_factor: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    let describe = |r: &PlanSpeedRecord| {
-        format!(
-            "{} P={} M={}GB beta={}GB/s",
-            r.network, r.p, r.m_gb, r.beta_gb
-        )
-    };
-    for base in baseline {
-        let Some(cur) = current.iter().find(|c| c.key() == base.key()) else {
-            violations.push(format!("{}: missing from the current run", describe(base)));
-            continue;
-        };
-        if cur.period_bits != base.period_bits {
-            let show = |b: &Option<u64>| match b {
-                Some(bits) => format!("{:.17e} ({bits:#018x})", f64::from_bits(*bits)),
-                None => "infeasible".to_string(),
-            };
-            violations.push(format!(
-                "{}: period not bit-identical: {} vs baseline {}",
-                describe(base),
-                show(&cur.period_bits),
-                show(&base.period_bits)
-            ));
-        }
-        const TIME_GRACE_SECONDS: f64 = 0.010;
-        if base.dp_seconds > 0.0
-            && cur.dp_seconds > base.dp_seconds * time_factor + TIME_GRACE_SECONDS
-        {
-            violations.push(format!(
-                "{}: DP took {:.3} s vs baseline {:.3} s (> {time_factor}x + 10ms)",
-                describe(base),
-                cur.dp_seconds,
-                base.dp_seconds
-            ));
-        }
-    }
-    for cur in current {
-        if !baseline.iter().any(|b| b.key() == cur.key()) {
-            violations.push(format!(
-                "{}: not in the baseline (refresh it)",
-                describe(cur)
-            ));
-        }
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{compare, parse, render};
 
     fn record(p: usize, m: u64, period: Option<f64>, dp: f64) -> PlanSpeedRecord {
         PlanSpeedRecord {
@@ -288,25 +178,36 @@ mod tests {
         }
     }
 
+    /// Gate typed records under the plan-speed suite.
+    fn check(current: &[PlanSpeedRecord], committed: &[PlanSpeedRecord]) -> Vec<String> {
+        let json = |rs: &[PlanSpeedRecord]| rs.iter().map(ToJson::to_json).collect::<Vec<_>>();
+        compare(&json(current), &json(committed), &PLAN_SPEED)
+    }
+
     #[test]
     fn json_round_trip_is_lossless() {
         let records = vec![
             record(4, 6, Some(0.103_712_345_678_9), 0.42),
             record(4, 3, None, 0.01),
         ];
-        let parsed = parse(&render(&records)).unwrap();
+        let json: Vec<Value> = records.iter().map(ToJson::to_json).collect();
+        let parsed: Vec<PlanSpeedRecord> = parse(&render(&json), &PLAN_SPEED)
+            .unwrap()
+            .iter()
+            .map(|v| PlanSpeedRecord::from_record(v).unwrap())
+            .collect();
         assert_eq!(parsed, records);
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
-        assert!(parse("{\"version\": 99, \"records\": []}").is_err());
+        assert!(parse("{\"version\": 99, \"records\": []}", &PLAN_SPEED).is_err());
     }
 
     #[test]
     fn identical_runs_pass() {
         let records = vec![record(4, 6, Some(0.1), 0.4)];
-        assert!(compare_plan_speed(&records, &records, 1.25).is_empty());
+        assert!(check(&records, &records).is_empty());
     }
 
     #[test]
@@ -314,7 +215,7 @@ mod tests {
         let base = vec![record(4, 6, Some(0.1), 0.4)];
         let mut cur = base.clone();
         cur[0].period_bits = cur[0].period_bits.map(|b| b + 1);
-        let v = compare_plan_speed(&cur, &base, 1.25);
+        let v = check(&cur, &base);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("not bit-identical"));
     }
@@ -324,7 +225,7 @@ mod tests {
         let base = vec![record(4, 3, None, 0.01)];
         let mut cur = base.clone();
         cur[0].period_bits = Some(0.2f64.to_bits());
-        let v = compare_plan_speed(&cur, &base, 1.25);
+        let v = check(&cur, &base);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("infeasible"));
     }
@@ -334,18 +235,25 @@ mod tests {
         let base = vec![record(4, 6, Some(0.1), 0.4)];
         let mut cur = base.clone();
         cur[0].dp_seconds = 0.48; // 1.2x < 1.25x: fine
-        assert!(compare_plan_speed(&cur, &base, 1.25).is_empty());
+        assert!(check(&cur, &base).is_empty());
         cur[0].dp_seconds = 0.55; // 1.375x: violation
-        let v = compare_plan_speed(&cur, &base, 1.25);
+        let v = check(&cur, &base);
         assert_eq!(v.len(), 1);
-        assert!(v[0].contains("DP took"));
+        assert!(v[0].contains("dp_seconds 0.550 over the limit"), "{v:?}");
+        // The 10 ms grace: a 10 ms cell may take 19 ms, not 23 ms.
+        let base = vec![record(4, 6, Some(0.1), 0.010)];
+        let mut cur = base.clone();
+        cur[0].dp_seconds = 0.019;
+        assert!(check(&cur, &base).is_empty());
+        cur[0].dp_seconds = 0.023;
+        assert_eq!(check(&cur, &base).len(), 1);
     }
 
     #[test]
     fn missing_and_extra_cells_are_flagged() {
         let base = vec![record(4, 6, Some(0.1), 0.4), record(8, 6, Some(0.2), 0.5)];
         let cur = vec![record(4, 6, Some(0.1), 0.4), record(2, 6, Some(0.3), 0.3)];
-        let v = compare_plan_speed(&cur, &base, 1.25);
+        let v = check(&cur, &base);
         assert!(v.iter().any(|x| x.contains("missing from the current run")));
         assert!(v.iter().any(|x| x.contains("not in the baseline")));
     }

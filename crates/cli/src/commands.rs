@@ -2,6 +2,7 @@
 
 use std::path::PathBuf;
 
+use madpipe_bench::record::{self, Suite};
 use madpipe_bench::{
     baseline, chains_for, fig6, fig7, fig8, paper_chains, plan_speed, run_cells, summary,
     GridConfig,
@@ -12,7 +13,7 @@ use madpipe_core::{
 };
 use madpipe_dnn::profile::Profile;
 use madpipe_dnn::{networks, GpuModel, RandomChainConfig};
-use madpipe_json::Value;
+use madpipe_json::{ToJson, Value};
 use madpipe_model::{
     Chain, Platform, PlatformFault, PolicySpec, RecomputeMode, UnitSequence, WeightPolicy,
 };
@@ -92,25 +93,24 @@ USAGE:
       ratio, flight-recorder drops — plus cluster-wide p50/p95/p99
       request latency reconstructed from the summed histogram buckets.
       --once prints a single frame and exits (no screen clearing).
-  madpipe bench-baseline [--out FILE] [--baseline FILE] [--tolerance T]
-               [--time-factor F] [--threads N] [--stats-json FILE]
+  madpipe bench-baseline [--out FILE] [--baseline FILE] [--threads N]
+               [--stats-json FILE]
       Run the fixed smoke benchmark grid plus the tight-memory policy
       pair (mlp12 on 4 × 2 GB GPUs, default vs --recompute auto
       --weights 2bw), write the results as JSON to FILE (default
       BENCH_smoke.json), and — when --baseline is given — gate against
-      the committed reference: periods within T (default 0.10
-      relative), planning time within F× (default 5), no certification
-      regressions. The policy pair always gates: the default cell must
-      stay infeasible and its 2BW twin must plan and certify.
-      --stats-json writes per-cell PlannerStats payloads.
+      the committed reference: periods within 10% relative, planning
+      time within 5×, no certification regressions. The policy pair
+      always gates: the default cell must stay infeasible and its 2BW
+      twin must plan and certify. --stats-json writes per-cell
+      PlannerStats payloads.
   madpipe bench-plan-speed [--out FILE] [--baseline FILE] [--repeat N]
-               [--time-factor F]
       Measure MadPipe planning time over the 42-cell ResNet-50 fig6
       slice (N repeats per cell, default 3; medians recorded), write the
       results as JSON to FILE (default BENCH_plan_speed.json), and —
       when --baseline is given — gate against the committed reference:
       achieved periods bit-identical, DP time (phase1+fallback+refine)
-      within F× (default 1.25).
+      within 1.25× + 10 ms.
   madpipe experiments <fig6|fig7|fig8|summary|all> [--full] [--threads N]
                [--out DIR]
       Regenerate the paper's figures (text + CSV under DIR, default
@@ -196,7 +196,8 @@ USAGE:
       (default 3) with capped jittered backoff; shed (`overloaded`,
       `unavailable`) and `timeout` verdicts are structured outcomes,
       not transport errors. --floor gates the run against a committed
-      BENCH_serve_speed.json throughput baseline; --expect-hits exits
+      BENCH_serve_speed.json throughput baseline (at least
+      max(150, 0.02 × committed) req/s); --expect-hits exits
       nonzero unless every request succeeded and the server reports
       both cache hits and misses (the CI smoke gate). --trace injects a
       unique distributed trace id into every request (the root of the
@@ -1013,8 +1014,8 @@ fn cmd_bench_baseline(args: &Args) -> Result<(), String> {
     networks.dedup();
     let chains = chains_for(&networks, grid.batch, grid.image_size);
     let results = run_cells(&chains, &cells, &PlannerConfig::default(), threads, true);
-    let records: Vec<baseline::BaselineRecord> = results.iter().map(Into::into).collect();
-    baseline::save(&records, &out).map_err(|e| e.to_string())?;
+    let records: Vec<Value> = results.iter().map(baseline::smoke_record).collect();
+    record::save(&records, &out).map_err(|e| e.to_string())?;
     println!("wrote {} ({} cells)", out.display(), records.len());
 
     let flip_violations = baseline::tight_cell_flip_violations(&records);
@@ -1047,38 +1048,16 @@ fn cmd_bench_baseline(args: &Args) -> Result<(), String> {
         println!("wrote {path}");
     }
 
-    if let Some(uncertified) = records
+    if let Some(uncertified) = results
         .iter()
         .find(|r| r.madpipe.is_some() && r.certified != Some(true))
     {
         return Err(format!(
-            "{} P={} M={}GB: plan exists but did not certify",
-            uncertified.network, uncertified.p, uncertified.m_gb
+            "{}: plan exists but did not certify",
+            uncertified.cell.describe()
         ));
     }
-
-    let Some(base_path) = args.raw("baseline") else {
-        return Ok(());
-    };
-    let reference = baseline::load(base_path)?;
-    let tolerance = args.get_or("tolerance", 0.10f64)?;
-    let time_factor = args.get_or("time-factor", 5.0f64)?;
-    let violations = baseline::compare_baselines(&records, &reference, tolerance, time_factor);
-    if violations.is_empty() {
-        println!(
-            "baseline check PASS vs {base_path} (period tolerance {:.0}%, time factor {time_factor}x)",
-            tolerance * 100.0
-        );
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("FAIL: {v}");
-        }
-        Err(format!(
-            "baseline check failed with {} violation(s) vs {base_path}",
-            violations.len()
-        ))
-    }
+    gate_against(args, &records, &record::SMOKE, "baseline")
 }
 
 fn cmd_bench_plan_speed(args: &Args) -> Result<(), String> {
@@ -1090,32 +1069,36 @@ fn cmd_bench_plan_speed(args: &Args) -> Result<(), String> {
         grid.cells().len()
     );
     let records = plan_speed::run_plan_speed(&grid, &PlannerConfig::default(), repeats);
-    plan_speed::save(&records, &out).map_err(|e| e.to_string())?;
     let dp_total: f64 = records.iter().map(|r| r.dp_seconds).sum();
+    let records: Vec<Value> = records.iter().map(|r| r.to_json()).collect();
+    record::save(&records, &out).map_err(|e| e.to_string())?;
     println!(
         "wrote {} ({} cells, {:.2} s median DP time total)",
         out.display(),
         records.len(),
         dp_total
     );
+    gate_against(args, &records, &record::PLAN_SPEED, "plan-speed")
+}
 
+/// With `--baseline FILE`, hold `records` to the committed file under
+/// `suite`: print `{what} check PASS`, or one `FAIL:` line per violation
+/// and an error.
+fn gate_against(args: &Args, records: &[Value], suite: &Suite, what: &str) -> Result<(), String> {
     let Some(base_path) = args.raw("baseline") else {
         return Ok(());
     };
-    let reference = plan_speed::load(base_path)?;
-    let time_factor = args.get_or("time-factor", 1.25f64)?;
-    let violations = plan_speed::compare_plan_speed(&records, &reference, time_factor);
+    let committed = record::load(base_path, suite)?;
+    let violations = record::compare(records, &committed, suite);
     if violations.is_empty() {
-        println!(
-            "plan-speed check PASS vs {base_path} (periods bit-identical, DP time factor {time_factor}x)"
-        );
+        println!("{what} check PASS vs {base_path} (gates {:?})", suite.gates);
         Ok(())
     } else {
         for v in &violations {
             eprintln!("FAIL: {v}");
         }
         Err(format!(
-            "plan-speed check failed with {} violation(s) vs {base_path}",
+            "{what} check failed with {} violation(s) vs {base_path}",
             violations.len()
         ))
     }
@@ -1338,8 +1321,11 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
     let report = madpipe_bench::loadgen::run(&cfg)?;
     println!("{report}");
     if let Some(path) = args.raw("floor") {
-        let baseline = madpipe_bench::loadgen::ServeSpeedBaseline::load(path)?;
-        println!("{}", baseline.check(&report)?);
+        let committed = record::load(path, &record::SERVE_SPEED)?;
+        println!(
+            "{}",
+            madpipe_bench::loadgen::check_floor(&report, &committed)?
+        );
     }
     let metrics = madpipe_bench::loadgen::fetch_metrics(&cfg.addrs[0], cfg.timeout)?;
     let serve_lines: Vec<&str> = metrics

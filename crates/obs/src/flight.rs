@@ -299,16 +299,21 @@ impl FlightRing {
     }
 
     /// Snapshot every consistent, not-yet-consumed event, oldest first,
-    /// and advance the read cursor past them. Slots mid-write are
-    /// skipped (their loss, if lapped, is already in `dropped`). Drains
-    /// run one at a time, so each event is returned at most once.
+    /// and advance the read cursor past them. A slot mid-write is
+    /// skipped; once the cursor passes its seq no later drain returns
+    /// it, so it is counted dropped here. Drains run one at a time, so
+    /// each event is returned at most once.
     pub fn drain(&self) -> Vec<FlightEvent> {
         // The lock guards no data, so a poisoned one is still usable.
         let _exclusive = self.draining.lock().unwrap_or_else(PoisonError::into_inner);
         let cursor = self.read_cursor.load(Ordering::SeqCst);
         let mut events: Vec<FlightEvent> = Vec::new();
+        let mut in_progress: Vec<u64> = Vec::new();
         for slot in &self.slots {
             let s1 = slot.stamp.load(Ordering::SeqCst);
+            if s1 % 2 == 1 {
+                in_progress.push(s1 / 2);
+            }
             if s1 == 0 || s1 % 2 == 1 {
                 continue;
             }
@@ -357,6 +362,11 @@ impl FlightRing {
         }
         events.sort_by_key(|e| e.seq);
         if let Some(last) = events.last() {
+            let passed = in_progress
+                .iter()
+                .filter(|&&seq| seq >= cursor && seq < last.seq)
+                .count() as u64;
+            self.dropped.fetch_add(passed, Ordering::SeqCst);
             self.read_cursor.fetch_max(last.seq + 1, Ordering::SeqCst);
         }
         events
@@ -452,6 +462,29 @@ mod tests {
         assert_eq!(ring.dropped(), 0);
         // A second drain returns nothing new.
         assert!(ring.drain().is_empty());
+    }
+
+    #[test]
+    fn a_drain_passing_a_slot_mid_write_counts_it_dropped() {
+        let ring = FlightRing::with_capacity(8);
+        for i in 0..3 {
+            ring.record_counter("c", i as f64, i as f64);
+        }
+        // Seq 1's writer is mid-store when the drain runs.
+        let done = ring.slots[1].stamp.load(Ordering::SeqCst);
+        ring.slots[1].stamp.store(done - 1, Ordering::SeqCst);
+        let first = ring.drain();
+        ring.slots[1].stamp.store(done, Ordering::SeqCst);
+        let second = ring.drain();
+        assert!(
+            second.is_empty(),
+            "seq 1 lies behind the cursor: never returned"
+        );
+        assert_eq!(
+            (first.len() + second.len()) as u64 + ring.dropped(),
+            ring.recorded(),
+            "drained + dropped == recorded"
+        );
     }
 
     #[test]

@@ -30,6 +30,14 @@
 //! keys long since evicted. On drain the server rewrites the journal
 //! from the live cache (newest-first), via a temp file + atomic rename,
 //! so the next start replays only what the cache would hold anyway.
+//!
+//! ## Older keys
+//!
+//! Canonical keys no longer carry the planner's `threads` setting.
+//! Records written by older daemons, whose keys still do, replay like
+//! any other, but no request ever produces their key again: they are
+//! never hit, so the LRU evicts them first, and a compaction after that
+//! no longer writes them.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;

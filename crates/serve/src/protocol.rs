@@ -425,6 +425,8 @@ pub fn sort_keys(v: Value) -> Value {
 /// derived state is dropped), keys recursively sorted, rendered compact.
 /// Two requests meaning the same instance — whatever key order or units
 /// they used on the wire — produce byte-identical canonical strings.
+/// `threads` is left out: plans are bit-identical across thread counts,
+/// so it changes how fast a plan is found, not which.
 pub fn canonical_instance(chain: &Chain, platform: &Platform, cfg: &PlannerConfig) -> String {
     let inst = Value::Object(vec![
         ("chain".into(), chain.to_json()),
@@ -443,7 +445,6 @@ pub fn canonical_instance(chain: &Chain, platform: &Platform, cfg: &PlannerConfi
                     "refine_probes".into(),
                     Value::UInt(cfg.refine_probes as u64),
                 ),
-                ("threads".into(), Value::UInt(cfg.threads as u64)),
                 (
                     "weights".into(),
                     Value::Str(cfg.policy.weights.as_str().into()),

@@ -203,6 +203,38 @@ fn repeat_requests_are_counter_verified_cache_hits() {
 }
 
 #[test]
+fn thread_count_does_not_split_the_cache() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let (chain, platform) = instance(11);
+    let line = plan_line(&chain, &platform);
+    let with_threads = |n: u32| {
+        line.replacen(
+            r#","platform""#,
+            &format!(r#","config":{{"threads":{n}}},"platform""#),
+            1,
+        )
+    };
+
+    let one = roundtrip(addr, &with_threads(1));
+    assert_eq!(one.field("cached").unwrap(), &Value::Bool(false));
+    let four = roundtrip(addr, &with_threads(4));
+    assert_eq!(
+        four.field("cached").unwrap(),
+        &Value::Bool(true),
+        "the same instance at another thread count must hit: {}",
+        four.to_string_compact()
+    );
+    assert_eq!(
+        one.field("plan").unwrap().to_string_compact(),
+        four.field("plan").unwrap().to_string_compact()
+    );
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn malformed_and_invalid_requests_never_kill_the_server() {
     let server = start_server();
     let addr = server.local_addr();
