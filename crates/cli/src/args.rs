@@ -62,6 +62,24 @@ impl Args {
     pub fn raw(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
     }
+
+    /// Fail on the first flag or switch (in name order) that appears in
+    /// none of the `accepted` groups of space-separated names, so a
+    /// mistyped or retired flag is an error instead of silently running
+    /// with defaults.
+    pub fn reject_unknown(&self, command: &str, accepted: &[&str]) -> Result<(), String> {
+        let known = |name: &str| {
+            accepted
+                .iter()
+                .any(|g| g.split_whitespace().any(|f| f == name))
+        };
+        let mut names: Vec<&String> = self.flags.keys().chain(&self.switches).collect();
+        names.sort();
+        match names.into_iter().find(|name| !known(name)) {
+            Some(name) => Err(format!("unknown flag --{name} for `{command}`")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -89,6 +107,16 @@ mod tests {
     #[test]
     fn missing_value_is_an_error() {
         assert!(parse(&argv(&["--gpus"]), &[]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_and_switches_are_named() {
+        let a = parse(&argv(&["plan", "vgg16", "--gpu", "2", "--full"]), &["full"]).unwrap();
+        assert!(a.reject_unknown("plan", &["gpu", "full"]).is_ok());
+        let err = a.reject_unknown("plan", &["gpus full"]).unwrap_err();
+        assert!(err.contains("--gpu "), "{err}");
+        let err = a.reject_unknown("plan", &["gpu"]).unwrap_err();
+        assert!(err.contains("--full"), "{err}");
     }
 
     #[test]

@@ -211,36 +211,64 @@ reproducible random CNN-profile chain. All planning commands accept
 Defaults: --gpus 4, --memory-gb 8, --bandwidth-gb 12, --batch 8,
 --image 1000.";
 
+/// Flags of `load_chain`: which network, at which batch and image size.
+const CHAIN: &str = "profile batch image layers seed max-layers gpu-model";
+
+/// Flags of `load_platform` and `planner_config` (policy included).
+const PLANNER: &str = "gpus memory-gb bandwidth-gb threads recompute weights";
+
+type Command = fn(&Args) -> Result<(), String>;
+
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let args = parse(
         argv,
         &["full", "quiet", "stats", "expect-hits", "trace", "once"],
     )?;
-    match args.positional.first().map(String::as_str) {
-        Some("networks") => cmd_networks(),
-        Some("plan") => cmd_plan(&args),
-        Some("replan") => cmd_replan(&args),
-        Some("gantt") => cmd_gantt(&args),
-        Some("simulate") => cmd_simulate(&args),
-        Some("profile") => cmd_profile(&args),
-        Some("experiments") => cmd_experiments(&args),
-        Some("hybrid") => cmd_hybrid(&args),
-        Some("trace") => cmd_trace(&args),
-        Some("certify") => cmd_certify(&args),
-        Some("validate-trace") => cmd_validate_trace(&args),
-        Some("trace-merge") => cmd_trace_merge(&args),
-        Some("top") => cmd_top(&args),
-        Some("bench-baseline") => cmd_bench_baseline(&args),
-        Some("bench-plan-speed") => cmd_bench_plan_speed(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("route") => cmd_route(&args),
-        Some("loadgen") => cmd_loadgen(&args),
-        Some("help") | None => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}")),
-    }
+    let name = args.positional.first().map_or("help", String::as_str);
+    let (run, flags) =
+        command(name).ok_or_else(|| format!("unknown command `{name}`\n\n{USAGE}"))?;
+    args.reject_unknown(name, flags)?;
+    run(&args)
+}
+
+/// Each command with every flag it reads, as space-separated groups;
+/// `dispatch` rejects any other flag before the command runs.
+fn command(name: &str) -> Option<(Command, &'static [&'static str])> {
+    const SERVE: &str = "addr threads cache-entries cache-bytes queue-depth timeout-ms \
+        shed-target-ms shed-window-ms journal peers gossip-ms gossip-entries flight-dump";
+    const ROUTE: &str = "addr backends vnodes timeout-ms probe-timeout-ms breaker-threshold \
+        breaker-open-ms flight-dump";
+    const LOADGEN: &str = "addr connections requests pipeline instances seed rate timeout-ms \
+        max-retries floor expect-hits trace recompute weights";
+    const PLAN: &str = "stats trace-out periods metrics-out stats-json";
+    const CERTIFY: &str = "periods jitter trials headroom chrome-trace stats trace-out metrics-out";
+    let help: Command = |_| {
+        println!("{USAGE}");
+        Ok(())
+    };
+    let entry: (Command, &'static [&'static str]) = match name {
+        "networks" => (|_| cmd_networks(), &[]),
+        "plan" => (cmd_plan, &[CHAIN, PLANNER, PLAN]),
+        "replan" => (cmd_replan, &[CHAIN, PLANNER, "fault stats"]),
+        "gantt" => (cmd_gantt, &[CHAIN, PLANNER]),
+        "simulate" => (cmd_simulate, &[CHAIN, PLANNER, "batches"]),
+        "profile" => (cmd_profile, &[CHAIN, "out"]),
+        "experiments" => (cmd_experiments, &["full quiet threads out"]),
+        "hybrid" => (cmd_hybrid, &[CHAIN, PLANNER]),
+        "trace" => (cmd_trace, &[CHAIN, PLANNER, "out periods"]),
+        "certify" => (cmd_certify, &[CHAIN, PLANNER, CERTIFY]),
+        "validate-trace" => (cmd_validate_trace, &["expect-spans metrics"]),
+        "trace-merge" => (cmd_trace_merge, &["out"]),
+        "top" => (cmd_top, &["addr interval-ms once timeout-ms"]),
+        "bench-baseline" => (cmd_bench_baseline, &["out baseline threads stats-json"]),
+        "bench-plan-speed" => (cmd_bench_plan_speed, &["out baseline repeat"]),
+        "serve" => (cmd_serve, &[SERVE]),
+        "route" => (cmd_route, &[ROUTE]),
+        "loadgen" => (cmd_loadgen, &[LOADGEN]),
+        "help" => (help, &[]),
+        _ => return None,
+    };
+    Some(entry)
 }
 
 fn load_chain(args: &Args) -> Result<Chain, String> {
@@ -842,22 +870,7 @@ fn cmd_trace_merge(args: &Args) -> Result<(), String> {
 /// One request/response exchange against a daemon or router (used by
 /// `madpipe top` for its `health`/`metrics` polls).
 fn probe_line(addr: &str, line: &str, timeout: std::time::Duration) -> Result<Value, String> {
-    use std::io::{BufRead, BufReader, Write as _};
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_nodelay(true).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader
-        .read_line(&mut response)
-        .map_err(|e| format!("recv: {e}"))?;
-    Value::parse(response.trim()).map_err(|e| format!("bad response JSON: {e}"))
+    madpipe_serve::wire::probe(addr, line, timeout, timeout).map_err(|e| format!("{addr}: {e}"))
 }
 
 /// Render one latency quantile for `madpipe top`. An idle cluster has
@@ -1381,6 +1394,52 @@ mod tests {
         assert_eq!(latency_cell(f64::NAN), "-");
         assert_eq!(latency_cell(f64::INFINITY), "-");
         assert_eq!(latency_cell(1.234), "1.23 ms");
+    }
+
+    fn argv(s: &[&str]) -> Vec<String> {
+        s.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_fail_before_the_command_runs() {
+        // `plan vgg16` would succeed on defaults; the typo must not.
+        let err = dispatch(&argv(&["plan", "vgg16", "--gpu", "2"])).unwrap_err();
+        assert!(err.contains("--gpu "), "{err}");
+        let err = dispatch(&argv(&["networks", "--tolerance", "0.2"])).unwrap_err();
+        assert!(err.contains("--tolerance"), "{err}");
+        let err = dispatch(&argv(&["networks", "--once"])).unwrap_err();
+        assert!(err.contains("--once"), "{err}");
+    }
+
+    #[test]
+    fn every_flag_in_a_usage_synopsis_is_accepted_by_its_command() {
+        // Synopsis lines: `  madpipe <cmd> …` plus its deeper-indented
+        // `[--flag …]` continuation lines (descriptions sit at 6 spaces).
+        let mut checked = 0;
+        let mut current: Option<&str> = None;
+        for line in USAGE.lines() {
+            let trimmed = line.trim_start();
+            if let Some(rest) = line.strip_prefix("  madpipe ") {
+                current = rest.split_whitespace().next();
+            } else if !(line.starts_with("        ") && trimmed.starts_with('[')) {
+                current = None;
+            }
+            let Some(name) = current else { continue };
+            let (_, groups) = command(name).unwrap_or_else(|| panic!("no command `{name}`"));
+            for flag in trimmed.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                let Some(flag) = flag.strip_prefix("--") else {
+                    continue;
+                };
+                assert!(
+                    groups
+                        .iter()
+                        .any(|g| g.split_whitespace().any(|f| f == flag)),
+                    "`{name}` rejects its documented --{flag}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 60, "only {checked} synopsis flags found");
     }
 
     #[test]

@@ -93,7 +93,6 @@
 //! session state (and therefore every downstream decision) is identical
 //! whatever the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -524,14 +523,14 @@ struct Shard {
 
 /// How one target of a [`ProbeSession::probe_many`] batch was answered.
 enum Resolution {
-    /// Served from a shard absorbed before this batch.
+    /// Served from a shard (index into the session's shards): one
+    /// absorbed before this batch, or the one this batch solves for an
+    /// earlier duplicate of the target.
     Cached(usize),
     /// Killed by the monotone infeasibility bound.
     Pruned,
     /// Solved in this batch (index into the batch's pending list).
     Solved(usize),
-    /// Duplicate of a target solved earlier in this batch.
-    Duplicate(usize),
 }
 
 /// Shared DP state for a whole planning run — see the module docs for
@@ -728,7 +727,8 @@ impl<'a> ProbeSession<'a> {
             } else if self.max_infeasible[use_special as usize].is_some_and(|b| t_hat <= b) {
                 resolutions.push(Resolution::Pruned);
             } else if let Some(&j) = pending_index.get(&t_hat.to_bits()) {
-                resolutions.push(Resolution::Duplicate(j));
+                // Shards are absorbed in pending order after the solve.
+                resolutions.push(Resolution::Cached(self.shards.len() + j));
             } else {
                 pending_index.insert(t_hat.to_bits(), pending.len());
                 resolutions.push(Resolution::Solved(pending.len()));
@@ -736,9 +736,14 @@ impl<'a> ProbeSession<'a> {
             }
         }
 
-        // Solve the pending targets (in parallel when asked to), then
+        // Solve the pending targets (in parallel when asked to), each
+        // with a fresh memo over the shared axes/cut/stage tables, then
         // absorb the shards in submission order for determinism.
-        let solved = self.solve_batch(&pending, use_special, threads);
+        let solved = crate::pool::map_ordered(&pending, threads, |&t| {
+            let start = Instant::now();
+            let shard = self.run_solve(t, use_special);
+            (shard, start.elapsed().as_secs_f64())
+        });
         let first_new_shard = self.shards.len();
         for (shard, _) in &solved {
             debug_assert!(shard.outcome.period.is_finite() || shard.outcome.allocation.is_none());
@@ -783,19 +788,6 @@ impl<'a> ProbeSession<'a> {
                         seconds[j],
                     )
                 }
-                Resolution::Duplicate(j) => {
-                    let shard = &self.shards[first_new_shard + j];
-                    self.registry.inc(counters::DP_OUTCOME_HITS);
-                    self.registry
-                        .add(counters::DP_STATES_REUSED, shard.slab.len() as u64);
-                    (
-                        shard.outcome.clone(),
-                        shard.outcome.states,
-                        true,
-                        false,
-                        0.0,
-                    )
-                }
             };
             self.records.push(ProbeRecord {
                 source,
@@ -810,56 +802,6 @@ impl<'a> ProbeSession<'a> {
             out.push(outcome);
         }
         out
-    }
-
-    /// Solve `pending` targets, each with a fresh memo over the shared
-    /// axes/cut/stage tables. Returns `(shard, seconds)` in `pending`
-    /// order.
-    fn solve_batch(&self, pending: &[f64], use_special: bool, threads: usize) -> Vec<(Shard, f64)> {
-        let threads = threads.max(1).min(pending.len().max(1));
-        if threads == 1 || pending.len() == 1 {
-            return pending
-                .iter()
-                .map(|&t| {
-                    let start = Instant::now();
-                    let shard = self.run_solve(t, use_special);
-                    (shard, start.elapsed().as_secs_f64())
-                })
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<(Shard, f64)>> = (0..pending.len()).map(|_| None).collect();
-        let trace = madpipe_obs::current();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let cursor = &cursor;
-                let session = &*self;
-                handles.push(scope.spawn(move || {
-                    let _trace = madpipe_obs::enter(trace);
-                    let mut local: Vec<(usize, Shard, f64)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= pending.len() {
-                            break;
-                        }
-                        let start = Instant::now();
-                        let shard = session.run_solve(pending[i], use_special);
-                        local.push((i, shard, start.elapsed().as_secs_f64()));
-                    }
-                    local
-                }));
-            }
-            for h in handles {
-                for (i, shard, secs) in h.join().expect("DP worker panicked") {
-                    slots[i] = Some((shard, secs));
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every pending target solved"))
-            .collect()
     }
 
     /// One full DP solve at `t_hat`. Pure: reads only the shared session

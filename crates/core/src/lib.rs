@@ -12,6 +12,8 @@
 //! * [`planner`] — the end-to-end MadPipe pipeline (phase 1 allocation +
 //!   phase 2 scheduling through `madpipe-solver`) and a side-by-side
 //!   comparison against the PipeDream baseline;
+//! * [`pool`] — the ordered scoped worker pool that DP probe batches,
+//!   phase-2 scheduling and the bench grid fan out on;
 //! * [`stats`] — planner observability: DP memo/prune counters, the
 //!   probe timeline and per-phase wall times surfaced by
 //!   [`planner::madpipe_plan_with_stats`];
@@ -35,6 +37,7 @@ pub mod fxhash;
 pub mod hybrid;
 pub mod oplus;
 pub mod planner;
+pub mod pool;
 pub mod stats;
 
 pub use algorithm1::{

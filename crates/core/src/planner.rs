@@ -11,8 +11,6 @@
 //! up front and results are folded in a fixed submission order with a
 //! strict `<`, so the plan is bit-identical whatever the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use madpipe_model::{Allocation, Chain, Platform, PolicySpec, StagePolicy};
 use madpipe_obs::Registry;
 use madpipe_schedule::ScheduleError;
@@ -201,7 +199,7 @@ fn schedule_batch(
     place: &PlaceConfig,
     threads: usize,
 ) -> Vec<Result<SolvedSchedule, ScheduleError>> {
-    let solve_one = |(alloc, policies): &(Allocation, Vec<StagePolicy>)| -> Result<SolvedSchedule, ScheduleError> {
+    let solve_one = |(alloc, policies): &(Allocation, Vec<StagePolicy>)| {
         let _span = madpipe_obs::span("plan.phase2.candidate");
         if alloc.is_contiguous() {
             madpipe_schedule::best_contiguous_period_with(chain, platform, alloc, policies).map(
@@ -216,42 +214,7 @@ fn schedule_batch(
         }
     };
 
-    let threads = threads.max(1).min(candidates.len().max(1));
-    if threads == 1 || candidates.len() == 1 {
-        return candidates.iter().map(solve_one).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<SolvedSchedule, ScheduleError>>> =
-        (0..candidates.len()).map(|_| None).collect();
-    let trace = madpipe_obs::current();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let solve_one = &solve_one;
-            handles.push(scope.spawn(move || {
-                let _trace = madpipe_obs::enter(trace);
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= candidates.len() {
-                        break;
-                    }
-                    local.push((i, solve_one(&candidates[i])));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            for (i, r) in h.join().expect("scheduling worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every candidate scheduled"))
-        .collect()
+    crate::pool::map_ordered(candidates, threads, solve_one)
 }
 
 /// Run the full MadPipe pipeline.
@@ -414,25 +377,32 @@ fn plan_inner(
         push_candidates(&mut candidates, f);
     }
 
-    // Phase 2: schedule every candidate; fold in submission order with a
-    // strict `<` so ties keep the earlier (better-estimate) candidate.
+    // Phase 2, one pass per candidate list (before and after refinement):
+    // schedule every pair, fold in submission order with a strict `<` so
+    // ties keep the earlier (better-estimate) candidate, and return the
+    // pass's seconds.
     let mut best: Option<(Allocation, Vec<StagePolicy>, SolvedSchedule)> = None;
     let mut last_err: Option<ScheduleError> = None;
-    let clock = madpipe_obs::span("plan.phase2.schedule");
-    let solved = schedule_batch(chain, platform, &candidates, &cfg.place, threads);
-    numbers.add(counters::SCHEDULES_ATTEMPTED, candidates.len() as u64);
-    for ((alloc, policies), res) in candidates.iter().zip(solved) {
-        match res {
-            Ok(s) => {
-                numbers.inc(counters::SCHEDULES_SOLVED);
-                if best.as_ref().is_none_or(|(_, _, b)| s.period < b.period) {
-                    best = Some((alloc.clone(), policies.clone(), s));
+    let schedule_into = |pairs: &[(Allocation, Vec<StagePolicy>)],
+                         best: &mut Option<(Allocation, Vec<StagePolicy>, SolvedSchedule)>,
+                         last_err: &mut Option<ScheduleError>| {
+        let clock = madpipe_obs::span("plan.phase2.schedule");
+        let solved = schedule_batch(chain, platform, pairs, &cfg.place, threads);
+        numbers.add(counters::SCHEDULES_ATTEMPTED, pairs.len() as u64);
+        for ((alloc, policies), res) in pairs.iter().zip(solved) {
+            match res {
+                Ok(s) => {
+                    numbers.inc(counters::SCHEDULES_SOLVED);
+                    if best.as_ref().is_none_or(|(_, _, b)| s.period < b.period) {
+                        *best = Some((alloc.clone(), policies.clone(), s));
+                    }
                 }
+                Err(e) => *last_err = Some(e),
             }
-            Err(e) => last_err = Some(e),
         }
-    }
-    let mut schedule_seconds = clock.finish();
+        clock.finish()
+    };
+    let mut schedule_seconds = schedule_into(&candidates, &mut best, &mut last_err);
 
     // Refinement: probe extra targets between the load lower bound and
     // the best achieved period, selecting by achieved period. The grid
@@ -469,21 +439,7 @@ fn plan_inner(
                     }
                 }
             }
-            let clock = madpipe_obs::span("plan.phase2.schedule");
-            let solved = schedule_batch(chain, platform, &fresh, &cfg.place, threads);
-            numbers.add(counters::SCHEDULES_ATTEMPTED, fresh.len() as u64);
-            for ((alloc, policies), res) in fresh.iter().zip(solved) {
-                match res {
-                    Ok(s) => {
-                        numbers.inc(counters::SCHEDULES_SOLVED);
-                        if best.as_ref().is_none_or(|(_, _, b)| s.period < b.period) {
-                            best = Some((alloc.clone(), policies.clone(), s));
-                        }
-                    }
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            schedule_seconds += clock.finish();
+            schedule_seconds += schedule_into(&fresh, &mut best, &mut last_err);
         }
     }
 

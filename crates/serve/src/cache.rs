@@ -75,14 +75,9 @@ fn lock_shard(m: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// FNV-1a, 64-bit — enough to spread keys over 8 shards.
+/// [`fnv1a`](crate::fnv1a) — enough to spread keys over the shards.
 fn shard_of(key: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h % SHARDS as u64) as usize
+    (crate::fnv1a(key.as_bytes()) % SHARDS as u64) as usize
 }
 
 impl PlanCache {

@@ -20,25 +20,21 @@
 //! `.applied` on the receiver.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::protocol::gossip_line;
 use crate::server::{lock_unpoisoned, Ctx, POLL};
+use crate::wire::{pooled_exchange, LineConn, MAX_ACK_BYTES};
 
 /// Dial + I/O budget per peer exchange. Gossip is advisory: a slow peer
 /// loses a round, never stalls the sender past this.
 const PEER_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Cap on a peer's one-line acknowledgment.
-const MAX_ACK_BYTES: usize = 64 * 1024;
-
 /// The sender loop. Runs for the daemon's lifetime; exits on drain.
 /// With no peers configured it just idles on the drain flag.
 pub(crate) fn gossip_loop(ctx: &Arc<Ctx>) {
-    let mut conns: HashMap<String, TcpStream> = HashMap::new();
+    let mut conns: HashMap<String, LineConn> = HashMap::new();
     loop {
         // Sleep out the interval in small steps so a drain is noticed
         // within POLL, not a full interval.
@@ -63,68 +59,15 @@ pub(crate) fn gossip_loop(ctx: &Arc<Ctx>) {
         let line = gossip_line(&hot);
         let mut sent = 0u64;
         for peer in &peers {
-            match exchange(&mut conns, peer, &line) {
-                Ok(()) => sent += hot.len() as u64,
-                Err(_) => {
-                    conns.remove(peer);
-                    ctx.registry.inc("serve.gossip.errors");
-                }
+            // The ack's content doesn't matter, but reading it keeps the
+            // persistent connection in step for the next round.
+            let dial = || LineConn::dial(peer, PEER_TIMEOUT, PEER_TIMEOUT);
+            match pooled_exchange(&mut conns, peer, dial, &line, MAX_ACK_BYTES) {
+                Ok(_) => sent += hot.len() as u64,
+                Err(_) => ctx.registry.inc("serve.gossip.errors"),
             }
         }
         ctx.registry.inc("serve.gossip.rounds");
         ctx.registry.add("serve.gossip.sent", sent);
-    }
-}
-
-/// One request/ack round trip on the peer's persistent connection,
-/// dialing it first if absent or previously failed.
-fn exchange(
-    conns: &mut HashMap<String, TcpStream>,
-    peer: &str,
-    line: &str,
-) -> Result<(), std::io::Error> {
-    if !conns.contains_key(peer) {
-        conns.insert(peer.to_string(), dial(peer)?);
-    }
-    let stream = conns.get_mut(peer).expect("just inserted");
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    read_ack(stream)
-}
-
-fn dial(peer: &str) -> Result<TcpStream, std::io::Error> {
-    let addr = peer.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(
-            ErrorKind::InvalidInput,
-            format!("peer `{peer}` resolves to nothing"),
-        )
-    })?;
-    let stream = TcpStream::connect_timeout(&addr, PEER_TIMEOUT)?;
-    stream.set_read_timeout(Some(PEER_TIMEOUT))?;
-    stream.set_write_timeout(Some(PEER_TIMEOUT))?;
-    stream.set_nodelay(true)?;
-    Ok(stream)
-}
-
-/// Read (and discard) the one-line ack; its content doesn't matter, but
-/// leaving it buffered would desynchronize the next round.
-fn read_ack(stream: &mut TcpStream) -> Result<(), std::io::Error> {
-    let mut seen = 0usize;
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return Ok(());
-                }
-                seen += 1;
-                if seen > MAX_ACK_BYTES {
-                    return Err(ErrorKind::InvalidData.into());
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
     }
 }

@@ -47,19 +47,6 @@ use madpipe_json::Value;
 
 use crate::server::lock_unpoisoned;
 
-/// FNV-1a, the same cheap stable hash the cache shards and router ring
-/// use. Not cryptographic — it detects torn frames, not adversaries
-/// (anyone who can forge a checksummed record can also replace the
-/// whole file).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// What [`Journal::replay`] found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
@@ -170,7 +157,7 @@ fn encode_frame(key: &str, plan: &Value) -> String {
         ("plan".into(), plan.clone()),
     ])
     .to_string_compact();
-    let sum = fnv1a(payload.as_bytes());
+    let sum = crate::fnv1a(payload.as_bytes());
     format!("{} {sum:016x} {payload}\n", payload.len())
 }
 
@@ -190,7 +177,7 @@ fn decode_frame(bytes: &[u8]) -> Option<(String, Value, usize)> {
         return None;
     }
     let payload = &bytes[payload_start..payload_end];
-    if fnv1a(payload) != sum {
+    if crate::fnv1a(payload) != sum {
         return None;
     }
     let v = Value::parse(std::str::from_utf8(payload).ok()?).ok()?;

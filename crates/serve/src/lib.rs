@@ -33,9 +33,11 @@
 //! back, and `madpipe trace-merge` stitches the per-process dumps into
 //! one cluster-wide Chrome trace.
 //!
-//! See [`protocol`] for the wire format, [`cache`] for the keying and
-//! eviction rules, [`server`] for the worker pool, supervision and
-//! drain story, and [`reactor`] for the connection state machines.
+//! See [`protocol`] for the message format, [`wire`] for the line
+//! framing every hop shares (the inbound framer, the bounded line
+//! client and the line bounds), [`cache`] for the keying and eviction
+//! rules, [`server`] for the worker pool, supervision and drain story,
+//! and [`reactor`] for the connection state machines.
 
 pub mod cache;
 pub mod gossip;
@@ -44,6 +46,7 @@ pub mod protocol;
 pub mod reactor;
 pub mod router;
 pub mod server;
+pub mod wire;
 
 pub use cache::PlanCache;
 pub use journal::{Journal, ReplayStats};
@@ -53,3 +56,26 @@ pub use protocol::{
 };
 pub use router::{Ring, Router, RouterConfig};
 pub use server::{install_signal_handlers, term_requested, ServeConfig, Server};
+
+/// 64-bit FNV-1a: the one cheap, stable, dependency-free hash behind
+/// cache sharding, ring placement and journal checksums. Not
+/// cryptographic: it spreads keys and detects torn journal frames, not
+/// adversaries (anyone who can forge a checksummed record can also
+/// replace the whole file).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        // Ring placement, cache shards and journal checksums all depend
+        // on these exact values.
+        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

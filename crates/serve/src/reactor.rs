@@ -19,10 +19,11 @@
 //! Flow control, per connection: at most [`MAX_INFLIGHT`] queued slots
 //! and roughly [`MAX_LINE_BYTES`] of unparsed input — past either bound
 //! the reactor simply stops reading that socket until slots retire
-//! (TCP backpressure does the rest). A single line crossing
-//! [`MAX_LINE_BYTES`] is rejected with a structured `malformed` error
-//! *while it streams in* and discarded up to the next newline; the
-//! connection, and every other pipelined request on it, survives.
+//! (TCP backpressure does the rest). Lines are framed by
+//! [`LineBuf`](crate::wire::LineBuf): one crossing [`MAX_LINE_BYTES`]
+//! is rejected with a structured `malformed` error in its pipeline
+//! position, even while it is still streaming in; the connection, and
+//! every other pipelined request on it, survives.
 //!
 //! Accepting: transient `accept(2)` failures (`EMFILE`, `ENFILE`,
 //! `ECONNABORTED`, …) put the listener on exponential backoff
@@ -39,7 +40,7 @@
 //! (`serve.rejects`).
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, TryRecvError};
@@ -54,14 +55,12 @@ use crate::protocol::{
     attach_trace, error_response, gossip_response, ok_response, parse_line, plan_response,
     replan_response, GossipEntry, PlanRequest, Request, ServeError,
 };
-use crate::server::{health_value, Ctx, DeadlineQueue, Job, PlanOutcome, MAX_LINE_BYTES};
+use crate::server::{health_value, Ctx, DeadlineQueue, Job, PlanOutcome};
+use crate::wire::{LineBuf, MAX_LINE_BYTES};
 
 /// Per-connection cap on queued (unanswered) pipelined requests; past
 /// it the reactor stops reading the socket until slots retire.
 pub const MAX_INFLIGHT: usize = 256;
-
-/// Read granularity per `read(2)` call.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// Poll timeout with nothing in flight: bounds how stale the drain flag
 /// (e.g. a SIGTERM) can get, nothing else — real events cut it short.
@@ -231,13 +230,11 @@ impl InFlight {
 
 struct Conn {
     stream: TcpStream,
-    read_buf: Vec<u8>,
+    lines: LineBuf,
     write_buf: Vec<u8>,
     /// Bytes of `write_buf` already on the wire.
     write_pos: usize,
     inflight: VecDeque<InFlight>,
-    /// Skipping the rest of an already-rejected oversized line.
-    discarding: bool,
     peer_eof: bool,
     dead: bool,
 }
@@ -246,11 +243,10 @@ impl Conn {
     fn new(stream: TcpStream) -> Self {
         Conn {
             stream,
-            read_buf: Vec::new(),
+            lines: LineBuf::default(),
             write_buf: Vec::new(),
             write_pos: 0,
             inflight: VecDeque::new(),
-            discarding: false,
             peer_eof: false,
             dead: false,
         }
@@ -262,7 +258,7 @@ impl Conn {
 
     /// Reading is pointless: EOF seen, or flow control says wait.
     fn read_blocked(&self) -> bool {
-        self.peer_eof || self.inflight.len() >= MAX_INFLIGHT || self.read_buf.len() > MAX_LINE_BYTES
+        self.peer_eof || self.inflight.len() >= MAX_INFLIGHT || self.lines.len() > MAX_LINE_BYTES
     }
 
     /// Nothing left this connection can ever do.
@@ -274,7 +270,7 @@ impl Conn {
             return false;
         }
         // A trailing partial line can never complete after EOF.
-        (self.peer_eof && !self.read_buf.contains(&b'\n')) || draining
+        (self.peer_eof && !self.lines.has_line()) || draining
     }
 }
 
@@ -385,27 +381,13 @@ fn accept_burst(
 
 fn read_some(conn: &mut Conn) -> bool {
     let mut progress = false;
-    let mut chunk = [0u8; READ_CHUNK];
     while !conn.read_blocked() {
-        match (&conn.stream).read(&mut chunk) {
+        match conn.lines.read_from(&conn.stream) {
             Ok(0) => {
                 conn.peer_eof = true;
                 break;
             }
-            Ok(n) => {
-                progress = true;
-                let mut data = &chunk[..n];
-                if conn.discarding {
-                    match data.iter().position(|b| *b == b'\n') {
-                        Some(pos) => {
-                            conn.discarding = false;
-                            data = &data[pos + 1..];
-                        }
-                        None => continue,
-                    }
-                }
-                conn.read_buf.extend_from_slice(data);
-            }
+            Ok(_) => progress = true,
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -417,47 +399,24 @@ fn read_some(conn: &mut Conn) -> bool {
     progress
 }
 
-/// Turn buffered complete lines into in-flight slots, and reject an
-/// over-bound line (complete or still streaming) in pipeline position.
+/// Turn buffered lines into in-flight slots; an over-bound line
+/// (complete or still streaming) is rejected in pipeline position.
 fn extract_lines(conn: &mut Conn, ctx: &Arc<Ctx>, jobs: &Arc<DeadlineQueue>) -> bool {
     let mut progress = false;
     while conn.inflight.len() < MAX_INFLIGHT {
-        let Some(pos) = conn.read_buf.iter().position(|b| *b == b'\n') else {
+        let Some(line) = conn.lines.next_line() else {
             break;
         };
-        if pos > MAX_LINE_BYTES {
-            conn.inflight
-                .push_back(InFlight::untraced(oversized_slot(ctx)));
-            conn.read_buf.drain(..=pos);
-            progress = true;
-            continue;
-        }
-        let line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-        let line = String::from_utf8_lossy(&line[..pos]).into_owned();
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        conn.inflight.push_back(slot_for_line(trimmed, ctx, jobs));
-        progress = true;
-    }
-    // A partial line past the bound is rejected the moment it crosses
-    // it — the buffer never grows on — and the rest is discarded.
-    if conn.read_buf.len() > MAX_LINE_BYTES && !conn.read_buf.contains(&b'\n') {
-        conn.inflight
-            .push_back(InFlight::untraced(oversized_slot(ctx)));
-        conn.read_buf.clear();
-        conn.read_buf.shrink_to_fit();
-        conn.discarding = true;
+        conn.inflight.push_back(match line {
+            Ok(line) => slot_for_line(&line, ctx, jobs),
+            Err(oversized) => {
+                ctx.registry.inc("serve.errors.oversized");
+                InFlight::untraced(Slot::Ready(error_response(&oversized.into())))
+            }
+        });
         progress = true;
     }
     progress
-}
-
-fn oversized_slot(ctx: &Arc<Ctx>) -> Slot {
-    ctx.registry.inc("serve.errors.oversized");
-    let err = ServeError::malformed(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-    Slot::Ready(error_response(&err))
 }
 
 /// Parse one request line into its in-flight entry. Everything except a

@@ -36,8 +36,8 @@
 //! `gossip` is rejected — peers gossip daemon-to-daemon.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -49,14 +49,15 @@ use madpipe_obs::Registry;
 use crate::protocol::{
     error_response, inject_context, ok_response, parse_line, Request, ServeError, TraceContext,
 };
-use crate::server::{lock_unpoisoned, MAX_LINE_BYTES};
+use crate::server::lock_unpoisoned;
+use crate::wire::{self, LineBuf, LineConn, MAX_REPLY_BYTES};
 
 /// Poll cadence of the router's accept loop and drain checks.
 const POLL: Duration = Duration::from_millis(50);
 
-/// Cap on one backend response line (a rendered plan is well under
-/// [`MAX_LINE_BYTES`]; the backend enforces the same bound inbound).
-const MAX_RESPONSE_BYTES: usize = 4 << 20;
+/// Cap on the connect wait against a backend, whatever the exchange
+/// budget: a dead daemon is detected in dial time, not planning time.
+const DIAL_CAP: Duration = Duration::from_secs(2);
 
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(200);
@@ -256,19 +257,9 @@ impl Breaker {
     }
 }
 
-/// 64-bit FNV-1a — the same cheap, dependency-free hash the plan cache
-/// shards with. Ring placement only needs uniformity, not cryptography.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A consistent-hash ring: each backend contributes `vnodes` points,
-/// a key is owned by the first point clockwise from its hash.
+/// a key is owned by the first point clockwise from its
+/// [`fnv1a`](crate::fnv1a) hash (uniformity is all placement needs).
 #[derive(Debug, Clone)]
 pub struct Ring {
     /// `(hash point, backend index)`, sorted by point.
@@ -281,7 +272,9 @@ impl Ring {
         let mut points: Vec<(u64, usize)> = backends
             .iter()
             .enumerate()
-            .flat_map(|(i, b)| (0..vnodes).map(move |v| (fnv1a(format!("{b}#{v}").as_bytes()), i)))
+            .flat_map(|(i, b)| {
+                (0..vnodes).map(move |v| (crate::fnv1a(format!("{b}#{v}").as_bytes()), i))
+            })
             .collect();
         points.sort_unstable();
         Ring { points }
@@ -293,7 +286,7 @@ impl Ring {
         if self.points.is_empty() {
             return Vec::new();
         }
-        let h = fnv1a(key.as_bytes());
+        let h = crate::fnv1a(key.as_bytes());
         let start = self.points.partition_point(|(p, _)| *p < h);
         let mut out = Vec::new();
         for k in 0..self.points.len() {
@@ -458,48 +451,23 @@ fn connection_loop(stream: &TcpStream, ctx: &Arc<RouterCtx>) {
     // Persistent backend connections for this client connection: the
     // common case (one client hammering one hot instance) reuses one
     // upstream socket end to end.
-    let mut backends: HashMap<usize, TcpStream> = HashMap::new();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut discarding = false;
+    let mut backends: HashMap<usize, LineConn> = HashMap::new();
+    let mut lines = LineBuf::default();
     loop {
-        match (&mut &*stream).read(&mut chunk) {
+        match lines.read_from(stream) {
             Ok(0) => return,
-            Ok(n) => {
-                let mut data = &chunk[..n];
-                if discarding {
-                    match data.iter().position(|b| *b == b'\n') {
-                        Some(pos) => {
-                            discarding = false;
-                            data = &data[pos + 1..];
+            Ok(_) => {
+                while let Some(line) = lines.next_line() {
+                    let response = match line {
+                        Ok(line) => handle_line(&line, ctx, &mut backends),
+                        Err(oversized) => {
+                            ctx.registry.inc("router.errors.oversized");
+                            error_response(&oversized.into())
                         }
-                        None => continue,
-                    }
-                }
-                buf.extend_from_slice(data);
-                while let Some(pos) = buf.iter().position(|b| *b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..pos.min(line.len())]).into_owned();
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    let response = handle_line(trimmed, ctx, &mut backends);
+                    };
                     if write_line(stream, &response).is_err() {
                         return;
                     }
-                }
-                if buf.len() > MAX_LINE_BYTES {
-                    ctx.registry.inc("router.errors.oversized");
-                    let err = ServeError::malformed(format!(
-                        "request line exceeds {MAX_LINE_BYTES} bytes"
-                    ));
-                    if write_line(stream, &error_response(&err)).is_err() {
-                        return;
-                    }
-                    buf.clear();
-                    buf.shrink_to_fit();
-                    discarding = true;
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -513,17 +481,15 @@ fn connection_loop(stream: &TcpStream, ctx: &Arc<RouterCtx>) {
     }
 }
 
-fn write_line(stream: &TcpStream, line: &str) -> std::io::Result<()> {
-    let mut w = stream;
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+/// One response line in one write (no Nagle-delayed newline segment).
+fn write_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
+    stream.write_all(format!("{line}\n").as_bytes())
 }
 
 fn handle_line(
     line: &str,
     ctx: &Arc<RouterCtx>,
-    backends: &mut HashMap<usize, TcpStream>,
+    backends: &mut HashMap<usize, LineConn>,
 ) -> String {
     ctx.registry.inc("router.requests");
     let (req, trace) = match parse_line(line) {
@@ -558,7 +524,7 @@ fn traced_forward(
     key: &str,
     trace: Option<TraceContext>,
     ctx: &Arc<RouterCtx>,
-    backends: &mut HashMap<usize, TcpStream>,
+    backends: &mut HashMap<usize, LineConn>,
 ) -> String {
     let Some(tc) = trace else {
         return forward(line, key, ctx, backends);
@@ -578,7 +544,7 @@ fn forward(
     line: &str,
     key: &str,
     ctx: &Arc<RouterCtx>,
-    backends: &mut HashMap<usize, TcpStream>,
+    backends: &mut HashMap<usize, LineConn>,
 ) -> String {
     ctx.retry_budget.deposit();
     let candidates = ctx.ring.candidates(key);
@@ -598,7 +564,9 @@ fn forward(
             break;
         }
         attempted += 1;
-        match exchange(backends, idx, &ctx.backends[idx], line, ctx.timeout) {
+        let addr = &ctx.backends[idx];
+        let dial = || LineConn::dial(addr, ctx.timeout.min(DIAL_CAP), ctx.timeout);
+        match wire::pooled_exchange(backends, &idx, dial, line, MAX_REPLY_BYTES) {
             Ok(response) => {
                 ctx.mark_alive(idx);
                 ctx.registry.inc("router.forwarded");
@@ -608,7 +576,6 @@ fn forward(
                 return response;
             }
             Err(_) => {
-                backends.remove(&idx);
                 ctx.mark_dead(idx);
                 ctx.registry.inc("router.backend_errors");
             }
@@ -621,67 +588,9 @@ fn forward(
     })
 }
 
-/// One line out, one line back on a persistent backend connection.
-fn exchange(
-    backends: &mut HashMap<usize, TcpStream>,
-    idx: usize,
-    addr: &str,
-    line: &str,
-    timeout: Duration,
-) -> std::io::Result<String> {
-    if let std::collections::hash_map::Entry::Vacant(e) = backends.entry(idx) {
-        e.insert(dial(addr, timeout)?);
-    }
-    let stream = backends.get_mut(&idx).expect("just inserted");
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    read_response_line(stream)
-}
-
-fn dial(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
-    let sockaddr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(
-            ErrorKind::InvalidInput,
-            format!("backend `{addr}` resolves to nothing"),
-        )
-    })?;
-    let stream = TcpStream::connect_timeout(&sockaddr, timeout.min(Duration::from_secs(2)))?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    stream.set_nodelay(true)?;
-    Ok(stream)
-}
-
-fn read_response_line(stream: &mut TcpStream) -> std::io::Result<String> {
-    let mut out: Vec<u8> = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return Ok(String::from_utf8_lossy(&out).into_owned());
-                }
-                out.push(byte[0]);
-                if out.len() > MAX_RESPONSE_BYTES {
-                    return Err(ErrorKind::InvalidData.into());
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Round-trip one command line against a backend on a fresh connection
-/// (rollups are rare; freshness beats plumbing the per-client pools).
+/// A `health`/`metrics` probe on the short rollup budget.
 fn probe(addr: &str, line: &str, timeout: Duration) -> std::io::Result<Value> {
-    let mut stream = dial(addr, timeout)?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    let response = read_response_line(&mut stream)?;
-    Value::parse(&response)
-        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("bad response: {e}")))
+    wire::probe(addr, line, timeout.min(DIAL_CAP), timeout)
 }
 
 /// Cluster `health`: per-daemon status (with its breaker state) plus

@@ -8,11 +8,10 @@
 //!
 //! 1. The reactor parses and validates the line; anything unusable is
 //!    answered with a structured error and the connection stays open.
-//!    Lines are bounded at [`MAX_LINE_BYTES`]; an oversized line is
-//!    rejected *while it streams in* (the buffer never grows past the
-//!    bound) and the rest of it is discarded up to the next newline.
-//!    Many requests may be pipelined on one connection; responses come
-//!    back in request order.
+//!    Lines are framed by [`crate::wire::LineBuf`], which rejects one
+//!    over the 1 MiB bound *while it streams in* and discards the rest
+//!    of it up to the next newline. Many requests may be pipelined on
+//!    one connection; responses come back in request order.
 //! 2. The canonical key probes the [`PlanCache`]; a hit is answered
 //!    immediately (`cached:true`).
 //! 3. A miss becomes a [`Job`] on the bounded queue, ordered
@@ -159,12 +158,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-/// Hard bound on one request line. A hostile client streaming an endless
-/// line is rejected as soon as the buffer crosses this, long before an
-/// allocation worth worrying about; 1 MiB comfortably fits any real
-/// instance (a 64k-layer chain is itself rejected by the planner).
-pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// How often idle loops re-check the drain flag.
 pub(crate) const POLL: Duration = Duration::from_millis(50);

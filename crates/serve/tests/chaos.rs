@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 use madpipe_core::{madpipe_plan, PlannerConfig};
 use madpipe_json::{FromJson, ToJson, Value};
 use madpipe_model::{Chain, Layer, Platform, PlatformFault};
+use madpipe_serve::wire::{LineConn, MAX_REPLY_BYTES};
 use madpipe_serve::{ServeConfig, Server};
 use madpipe_sim::{ChaosEvent, ChaosStream};
 
@@ -79,17 +80,11 @@ fn replan_line(chain: &Chain, platform: &Platform, lost: usize) -> String {
 }
 
 fn roundtrip(addr: std::net::SocketAddr, line: &str) -> Value {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("read response");
-    assert!(!response.is_empty(), "daemon must answer, not hang up");
-    Value::parse(response.trim()).expect("response is JSON")
+    let t = Duration::from_secs(60);
+    let response = LineConn::dial(&addr.to_string(), t, t)
+        .and_then(|mut conn| conn.exchange(line, MAX_REPLY_BYTES))
+        .expect("daemon must answer, not hang up");
+    Value::parse(&response).expect("response is JSON")
 }
 
 /// Offline ground truth, memoized per (chain seed, surviving GPUs):

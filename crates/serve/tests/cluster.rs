@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use madpipe_core::{madpipe_plan, PlannerConfig};
 use madpipe_json::{ToJson, Value};
 use madpipe_model::{Chain, Layer, Platform};
+use madpipe_serve::wire::{LineConn, MAX_REPLY_BYTES};
 use madpipe_serve::{canonical_instance, Ring, Router, RouterConfig, ServeConfig, Server};
 use madpipe_sim::{ChaosStream, ClusterEvent};
 
@@ -49,17 +50,11 @@ fn plan_line(chain: &Chain, platform: &Platform) -> String {
 }
 
 fn roundtrip(addr: std::net::SocketAddr, line: &str) -> Value {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("read response");
-    assert!(!response.is_empty(), "server hung up");
-    Value::parse(response.trim()).expect("response is JSON")
+    let t = Duration::from_secs(60);
+    let response = LineConn::dial(&addr.to_string(), t, t)
+        .and_then(|mut conn| conn.exchange(line, MAX_REPLY_BYTES))
+        .expect("server hung up");
+    Value::parse(&response).expect("response is JSON")
 }
 
 fn served_period_bits(v: &Value) -> u64 {
@@ -237,6 +232,45 @@ fn router_forwards_by_canonical_key_and_rolls_up_the_cluster() {
         d.shutdown();
         d.join();
     }
+}
+
+#[test]
+fn router_rejects_an_oversized_line_like_the_daemon_and_serves_the_next() {
+    // Ping and the rejection are answered by the router itself, so the
+    // backend never needs to exist.
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        backends: vec!["127.0.0.1:1".into()],
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let mut stream = TcpStream::connect(router.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    // One write: a line just past the bound, then a ping.
+    let mut payload = vec![b'x'; madpipe_serve::wire::MAX_LINE_BYTES + 10];
+    payload.extend_from_slice(b"\n{\"cmd\":\"ping\"}\n");
+    stream.write_all(&payload).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut read = || {
+        let mut l = String::new();
+        reader.read_line(&mut l).expect("response");
+        Value::parse(l.trim()).expect("response is JSON")
+    };
+    let rejected = read();
+    let err = rejected.field("error").unwrap();
+    assert_eq!(err.field("kind").unwrap().as_str(), Ok("malformed"));
+    assert!(err
+        .field("message")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("exceeds"));
+    assert_eq!(read().field("pong").unwrap(), &Value::Bool(true));
+    assert_eq!(router.registry().counter("router.errors.oversized"), 1);
+    router.shutdown();
+    router.join();
 }
 
 #[test]

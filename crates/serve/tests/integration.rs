@@ -9,6 +9,7 @@ use std::time::Duration;
 use madpipe_core::{madpipe_plan, PlannerConfig};
 use madpipe_json::{ToJson, Value};
 use madpipe_model::{Chain, Layer, Platform};
+use madpipe_serve::wire::{LineConn, MAX_REPLY_BYTES};
 use madpipe_serve::{ServeConfig, Server};
 
 /// A small deterministic instance family: same shape, seed-dependent
@@ -49,16 +50,11 @@ fn plan_line(chain: &Chain, platform: &Platform) -> String {
 
 /// One round trip on a fresh connection.
 fn roundtrip(addr: std::net::SocketAddr, line: &str) -> Value {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("read response");
-    Value::parse(response.trim()).expect("response is JSON")
+    let t = Duration::from_secs(60);
+    let response = LineConn::dial(&addr.to_string(), t, t)
+        .and_then(|mut conn| conn.exchange(line, MAX_REPLY_BYTES))
+        .expect("read response");
+    Value::parse(&response).expect("response is JSON")
 }
 
 fn start_server() -> Server {

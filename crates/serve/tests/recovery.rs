@@ -4,13 +4,12 @@
 //! tolerates a torn tail from a mid-append crash, and reports the
 //! recovery counts in `health`.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use madpipe_core::{madpipe_plan, PlannerConfig};
 use madpipe_json::{ToJson, Value};
 use madpipe_model::{Chain, Layer, Platform};
+use madpipe_serve::wire::{LineConn, MAX_REPLY_BYTES};
 use madpipe_serve::{ServeConfig, Server};
 
 /// Same deterministic instance family as the integration suite.
@@ -51,16 +50,10 @@ fn plan_line(chain: &Chain, platform: &Platform) -> String {
 /// One round trip on a fresh connection, returning the *raw* response
 /// line — byte identity is the whole point here.
 fn raw_roundtrip(addr: std::net::SocketAddr, line: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("read response");
-    response.trim_end().to_string()
+    let t = Duration::from_secs(60);
+    LineConn::dial(&addr.to_string(), t, t)
+        .and_then(|mut conn| conn.exchange(line, MAX_REPLY_BYTES))
+        .expect("read response")
 }
 
 fn start_with_journal(journal: &str) -> Server {
